@@ -17,8 +17,9 @@
 //! incremental dataset, while pruning applies to the incremental dataset
 //! only.
 
+use std::time::Instant;
+
 use enld_datagen::Dataset;
-use enld_lake::timing::Stopwatch;
 use enld_nn::data::DataRef;
 use enld_nn::matrix::Matrix;
 use enld_nn::model::Mlp;
@@ -101,7 +102,7 @@ impl NoisyLabelDetector for ConfidentLearning {
     }
 
     fn detect(&mut self, d: &Dataset) -> BaselineReport {
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let view = DataRef::new(d.xs(), d.labels(), d.dim());
         let probs = self.model.predict_proba(view);
         let thresholds = self.thresholds(&probs, d.labels(), d.missing_mask());

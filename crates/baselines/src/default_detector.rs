@@ -2,8 +2,9 @@
 //! model's prediction disagrees with its observed label —
 //! `argmax M(x, θ) ≠ ỹ`. Zero training cost beyond the shared setup.
 
+use std::time::Instant;
+
 use enld_datagen::Dataset;
-use enld_lake::timing::Stopwatch;
 use enld_nn::data::DataRef;
 use enld_nn::model::Mlp;
 
@@ -35,7 +36,7 @@ impl NoisyLabelDetector for DefaultDetector {
     }
 
     fn detect(&mut self, d: &Dataset) -> BaselineReport {
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let view = DataRef::new(d.xs(), d.labels(), d.dim());
         let preds = self.model.predict_labels(view);
         let flags: Vec<bool> = preds.iter().zip(d.labels()).map(|(p, l)| p != l).collect();

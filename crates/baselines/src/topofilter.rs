@@ -15,10 +15,10 @@
 //! paper's 3.65×–4.97× process-time speedups (Fig. 8).
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use enld_datagen::Dataset;
 use enld_knn::graph::largest_knn_component;
-use enld_lake::timing::Stopwatch;
 use enld_nn::data::DataRef;
 use enld_nn::model::Mlp;
 use enld_nn::optimizer::SgdConfig;
@@ -90,7 +90,7 @@ impl NoisyLabelDetector for Topofilter {
     }
 
     fn detect(&mut self, d: &Dataset) -> BaselineReport {
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         self.tasks += 1;
         let labels_d: BTreeSet<u32> = d.label_set();
 

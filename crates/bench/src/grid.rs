@@ -15,8 +15,8 @@
 //! any thread count**. The results JSON (`enld-bench-results-v1`)
 //! deliberately contains no wall-clock fields — byte equality across
 //! `ENLD_THREADS={1,4}` is a tested invariant, and the golden-score
-//! regression test compares it against a committed snapshot the same way
-//! `benchgate` gates perf against `bench/baseline.json`.
+//! regression test (`tests/tests/bench_grid.rs`) compares it against a
+//! committed snapshot; wall-clock cost is `perf/`'s job.
 
 use std::fs;
 use std::path::Path;
@@ -247,8 +247,7 @@ pub struct GridResults {
     pub cells: Vec<GridCell>,
     pub ranking: Vec<RankingRow>,
     /// Set on goldens that have not been frozen yet: comparisons are
-    /// skipped until a real run's scores are recorded (same convention as
-    /// `bench/baseline.json`).
+    /// skipped until a real run's scores are recorded.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub bootstrap: bool,
 }

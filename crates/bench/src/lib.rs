@@ -25,7 +25,6 @@ pub mod grid;
 pub mod rows;
 pub mod runner;
 pub mod scale;
-pub mod seed_kernels;
 
 pub use grid::{GridConfig, GridOptions, GridResults};
 pub use rows::{ExperimentOutput, MethodRow};

@@ -12,7 +12,6 @@ use enld_core::report::DetectionReport;
 use enld_datagen::presets::DatasetPreset;
 use enld_datagen::Dataset;
 use enld_lake::lake::{DataLake, LakeConfig};
-use enld_lake::timing::TimingReport;
 use enld_nn::arch::ArchPreset;
 use enld_telemetry as telemetry;
 
@@ -149,12 +148,11 @@ pub fn run_method_sweep(
     }
 
     let n = scale.cap(lake.pending_requests());
-    let mut per_method: Vec<(String, Vec<DetectionMetrics>, TimingReport)> = baselines
-        .iter()
-        .map(|b| (b.name().to_owned(), Vec::new(), TimingReport::default()))
-        .collect();
+    // Per method: name, per-dataset metrics, per-dataset process seconds.
+    let mut per_method: Vec<(String, Vec<DetectionMetrics>, Vec<f64>)> =
+        baselines.iter().map(|b| (b.name().to_owned(), Vec::new(), Vec::new())).collect();
     let mut enld_metrics: Vec<DetectionMetrics> = Vec::new();
-    let mut enld_timing = TimingReport::default();
+    let mut enld_secs: Vec<f64> = Vec::new();
     let mut enld_reports = Vec::new();
     let mut truths = Vec::new();
     let mut lens = Vec::new();
@@ -163,7 +161,7 @@ pub fn run_method_sweep(
     // Emulate the §V-A3 deployment queue: one FIFO worker, back-to-back
     // arrivals, so request i waits for every earlier request's processing.
     // This keeps a queue-wait histogram in the snapshot even for sweeps
-    // that run the detector inline rather than through DetectionService.
+    // that run the detector inline rather than through a worker pool.
     let wait_hist = telemetry::metrics::global().histogram("lake.queue.wait_secs");
     let mut backlog_wait = 0.0f64;
 
@@ -173,14 +171,14 @@ pub fn run_method_sweep(
         for (det, acc) in baselines.iter_mut().zip(per_method.iter_mut()) {
             let report = det.detect(&req.data);
             acc.1.push(detection_metrics(&report.noisy, &truth, req.data.len()));
-            acc.2.record_process(std::time::Duration::from_secs_f64(report.process_secs));
+            acc.2.push(report.process_secs);
         }
         if methods.enld {
             wait_hist.record(backlog_wait);
             let report = enld.detect(&req.data);
             backlog_wait += report.process_secs;
             enld_metrics.push(detection_metrics(&report.noisy, &truth, req.data.len()));
-            enld_timing.record_process(std::time::Duration::from_secs_f64(report.process_secs));
+            enld_secs.push(report.process_secs);
             enld_reports.push(report);
         }
         truths.push(truth);
@@ -190,15 +188,8 @@ pub fn run_method_sweep(
 
     let mut rows: Vec<MethodRow> = per_method
         .into_iter()
-        .map(|(name, metrics, timing)| {
-            MethodRow::from_metrics(
-                preset.name,
-                &name,
-                noise,
-                &metrics,
-                timing.mean_process_secs(),
-                setup,
-            )
+        .map(|(name, metrics, secs)| {
+            MethodRow::from_metrics(preset.name, &name, noise, &metrics, mean_secs(&secs), setup)
         })
         .collect();
     if methods.enld {
@@ -207,7 +198,7 @@ pub fn run_method_sweep(
             "ENLD",
             noise,
             &enld_metrics,
-            enld_timing.mean_process_secs(),
+            mean_secs(&enld_secs),
             setup,
         ));
     }
@@ -216,6 +207,11 @@ pub fn run_method_sweep(
     sweep_span.record("methods", rows.len());
 
     SweepResult { rows, enld_reports, truths, lens, requests, enld: methods.enld.then_some(enld) }
+}
+
+/// Mean process time per incremental dataset (0 when none ran).
+fn mean_secs(secs: &[f64]) -> f64 {
+    secs.iter().sum::<f64>() / secs.len().max(1) as f64
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +15,6 @@ use enld_datagen::split::split_half;
 use enld_datagen::Dataset;
 use enld_knn::class_index::ClassIndex;
 use enld_knn::{IndexBackend, NeighborIndex};
-use enld_lake::timing::Stopwatch;
 use enld_nn::data::DataRef;
 use enld_nn::matrix::Matrix;
 use enld_nn::model::{argmax, Mlp};
@@ -115,7 +115,7 @@ impl Enld {
     pub fn init(inventory: &Dataset, config: &EnldConfig) -> Self {
         config.validate();
         assert!(!inventory.is_empty(), "inventory must be non-empty");
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let mut setup_span = telemetry::span("enld.setup")
             .field("inventory", inventory.len())
             .field("classes", inventory.classes())
@@ -465,7 +465,7 @@ impl Enld {
     pub fn detect(&mut self, d: &Dataset) -> DetectionReport {
         assert_eq!(d.dim(), self.i_c.dim(), "incremental dataset dimension mismatch");
         assert_eq!(d.classes(), self.i_c.classes(), "incremental dataset class-count mismatch");
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let cfg = self.config;
         let d_fp = checkpoint::dataset_fingerprint(d);
         let resumed = match self.pending.take() {
@@ -957,7 +957,7 @@ impl Enld {
         let mut span = telemetry::debug_span("enld.detect.contrastive")
             .field("ambiguous", ambiguous.len())
             .entered();
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let out = self.select_contrast_inner(
             scan,
             round0,

@@ -35,7 +35,6 @@
 
 pub mod dataset;
 pub mod gauss;
-pub mod images;
 pub mod manifold;
 pub mod noise;
 pub mod presets;

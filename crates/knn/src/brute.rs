@@ -1,9 +1,7 @@
 //! Exact brute-force k-NN: the correctness oracle for the KD-tree and the
-//! baseline for the §IV-D complexity ablation bench.
+//! approximate index.
 
-use std::cmp::Ordering;
-
-use crate::kdtree::Neighbor;
+use crate::kdtree::{by_distance, Neighbor};
 
 /// The `k` nearest points to `query` by linear scan, ascending by distance.
 ///
@@ -22,12 +20,7 @@ pub fn brute_k_nearest(points: &[f32], dim: usize, query: &[f32], k: usize) -> V
             Neighbor { index: i, dist_sq }
         })
         .collect();
-    all.sort_by(|a, b| {
-        a.dist_sq
-            .partial_cmp(&b.dist_sq)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| a.index.cmp(&b.index))
-    });
+    all.sort_by(by_distance);
     all.truncate(k);
     all
 }

@@ -17,6 +17,14 @@ pub struct Neighbor {
     pub dist_sq: f32,
 }
 
+/// Result order: ascending distance, ties by index. `f32::total_cmp` keeps
+/// it a total order when a NaN feature makes a distance NaN (NaN sorts
+/// after every finite distance); distances are sums of squares, never
+/// `-0.0`, so finite inputs order exactly as under `partial_cmp`.
+pub(crate) fn by_distance(a: &Neighbor, b: &Neighbor) -> Ordering {
+    a.dist_sq.total_cmp(&b.dist_sq).then_with(|| a.index.cmp(&b.index))
+}
+
 /// Max-heap entry keyed on distance, so the worst current neighbour is on
 /// top and can be evicted in `O(log k)`.
 #[derive(Debug, Clone, Copy)]
@@ -24,7 +32,7 @@ struct HeapEntry(Neighbor);
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.0.dist_sq == other.0.dist_sq
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
@@ -35,11 +43,7 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .dist_sq
-            .partial_cmp(&other.0.dist_sq)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.0.index.cmp(&other.0.index))
+        by_distance(&self.0, &other.0)
     }
 }
 
@@ -158,12 +162,7 @@ impl KdTree {
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
         self.search(self.root.as_deref(), query, k, &mut heap);
         let mut out: Vec<Neighbor> = heap.into_iter().map(|e| e.0).collect();
-        out.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.index.cmp(&b.index))
-        });
+        out.sort_by(by_distance);
         out
     }
 
@@ -301,6 +300,25 @@ mod tests {
                 prop_assert!(w[0].dist_sq <= w[1].dist_sq);
             }
         }
+    }
+
+    #[test]
+    fn nan_coordinates_keep_results_totally_ordered() {
+        let sorted = |hits: &[Neighbor]| {
+            hits.windows(2).all(|w| by_distance(&w[0], &w[1]) != Ordering::Greater)
+        };
+        // A NaN point (index 1) among finite ones, then a NaN query.
+        let pts = vec![3.0f32, 0.0, f32::NAN, 0.0, 1.0, 0.0, 2.0, 0.0];
+        let tree = KdTree::build(&pts, 2);
+        for query in [[0.0f32, 0.0], [f32::NAN, 0.0]] {
+            let brute = brute_k_nearest(&pts, 2, &query, 4);
+            assert_eq!(brute.len(), 4);
+            assert!(sorted(&brute), "{brute:?}");
+            assert!(sorted(&tree.k_nearest(&query, 4)));
+        }
+        // Brute force ranks every finite distance before the NaN one.
+        let brute = brute_k_nearest(&pts, 2, &[0.0, 0.0], 4);
+        assert_eq!(brute.iter().map(|h| h.index).collect::<Vec<_>>(), [2, 3, 0, 1]);
     }
 
     #[test]

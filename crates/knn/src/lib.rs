@@ -7,9 +7,11 @@
 //!
 //! * [`kdtree::KdTree`] — a balanced KD-tree over `f32` vectors with
 //!   bounded-priority k-NN search;
-//! * [`brute::brute_k_nearest`] — the exact reference used by tests and as
-//!   the baseline in the KD-tree ablation bench;
+//! * [`brute::brute_k_nearest`] — the exact reference the tests compare
+//!   every index against;
 //! * [`class_index::ClassIndex`] — one KD-tree per label, as Alg. 2 needs;
+//! * [`index::NeighborIndex`] — the query contract [`ClassIndex`] shares
+//!   with `enld-ann`'s HNSW index, selected by [`IndexBackend`];
 //! * [`graph`] — a KNN graph and union-find connected components, the
 //!   machinery behind the Topofilter baseline.
 //!
@@ -30,9 +32,7 @@ pub mod class_index;
 pub mod graph;
 pub mod index;
 pub mod kdtree;
-pub mod vptree;
 
 pub use class_index::ClassIndex;
 pub use index::{AnnParams, IndexBackend, NeighborIndex};
 pub use kdtree::{KdTree, Neighbor};
-pub use vptree::VpTree;

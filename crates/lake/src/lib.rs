@@ -9,9 +9,10 @@
 //! * [`lake::DataLake`] — the inventory plus an ordered arrival queue of
 //!   incremental datasets, built from an `enld-datagen` preset;
 //! * [`request::DetectionRequest`]/[`request::DetectionResponse`] — the
-//!   unit of work a detection service consumes and produces;
-//! * [`timing`] — setup/process stopwatches matching the paper's
-//!   time-cost metrics (§V-A3).
+//!   unit of work a detection service consumes and produces (the service
+//!   itself is `enld_serve::WorkerPool`);
+//! * [`queueing`] — an M/G/c discrete-event queue simulation fed with
+//!   measured per-dataset service times.
 //!
 //! # Example
 //!
@@ -29,12 +30,8 @@ pub mod catalog;
 pub mod lake;
 pub mod queueing;
 pub mod request;
-pub mod service;
-pub mod timing;
 
 pub use catalog::{Catalog, DatasetKind};
 pub use lake::{DataLake, LakeConfig};
 pub use queueing::{simulate_queue, simulate_queue_mgc, QueueStats, SimPolicy};
 pub use request::{DetectionRequest, DetectionResponse};
-pub use service::{DetectionService, SubmitError, WorkerPanic};
-pub use timing::{Stopwatch, TimingReport};

@@ -46,7 +46,6 @@
 //! ```
 
 pub mod arch;
-pub mod conv;
 pub mod data;
 pub mod dense;
 pub mod init;

@@ -275,7 +275,7 @@ impl<'env> Scope<'env> {
     {
         // Capture the submitter's trace context only when a trace-level
         // sink is live: the disabled path stays one relaxed atomic load,
-        // keeping untraced spawns inside the bench-gate noise floor.
+        // keeping untraced spawns inside the benchmark's noise floor.
         let ctx =
             if telemetry::enabled(Level::Trace) { telemetry::current_context() } else { None };
         if self.sequential {

@@ -1,13 +1,13 @@
 //! The multi-worker scheduler: N detector-owning threads fed from one
 //! policy-ordered dispatch queue.
 //!
-//! Ownership mirrors the single-worker `DetectionService` it replaces:
-//! each worker thread owns one detector instance (detectors are
+//! Each worker thread owns one detector instance (detectors are
 //! stateful), so a pool of N workers holds N independent detectors built
-//! by the caller's factory. Producers submit through admission control
-//! ([`WorkerPool::submit`] never blocks — it rejects); workers pull the
-//! next job under the configured [`PolicyKind`]; every accepted job
-//! yields exactly one [`JobOutcome`], including jobs that expired or
+//! by the caller's factory; one worker with the FIFO policy is the
+//! paper's single-queue deployment. Producers submit through admission
+//! control ([`WorkerPool::submit`] never blocks — it rejects); workers
+//! pull the next job under the configured [`PolicyKind`]; every accepted
+//! job yields exactly one [`JobOutcome`], including jobs that expired or
 //! whose detector panicked.
 //!
 //! Per-worker telemetry: `serve.worker.<i>.service_secs` (histogram) and
@@ -947,7 +947,8 @@ mod tests {
 
     #[test]
     fn shutdown_with_nothing_submitted_is_empty() {
-        let (pool, _gate) = toy_pool(PoolConfig::default());
+        let (mut pool, _gate) = toy_pool(PoolConfig::default());
+        assert!(pool.try_next().is_none(), "an idle pool answers without blocking");
         assert!(drain(pool).is_empty());
     }
 

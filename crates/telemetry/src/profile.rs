@@ -3,9 +3,9 @@
 //!
 //! Works on [`OwnedSpan`]s (as parsed back from a `--trace-out` JSONL
 //! file or pulled from a [`crate::chrome_trace::TraceBuffer`]) and
-//! answers the question the bench gate cannot: *which span site* is
-//! responsible for a regression. Self-time attributes each microsecond
-//! to exactly one site; the critical path walks the chain of
+//! answers the question an end-to-end benchmark cannot: *which span
+//! site* is responsible for a regression. Self-time attributes each
+//! microsecond to exactly one site; the critical path walks the chain of
 //! latest-ending children from a trace's root, so its contributions
 //! telescope to the root's wall-clock — the spans that actually bound
 //! end-to-end latency at a given thread count.

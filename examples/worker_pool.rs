@@ -1,7 +1,7 @@
 //! The multi-worker deployment shape: N detector clones drain one
 //! policy-scheduled queue (`enld-serve`), with admission control and
-//! retry-with-backoff on the ingestion side. Compare `service_worker`,
-//! the paper's single-worker FIFO shape.
+//! retry-with-backoff on the ingestion side. `workers: 1` with
+//! `PolicyKind::Fifo` is the paper's single-worker FIFO shape.
 //!
 //! ```text
 //! cargo run --release -p enld-examples --bin worker_pool

@@ -30,8 +30,10 @@ bash scripts/chaos_smoke.sh
 echo "==> ann index CLI smoke (hnsw build + crash mid-persist + rebuild-free resume)"
 bash scripts/ann_smoke.sh
 
-echo "==> bench gate smoke (single iteration, no baseline compare)"
-bash scripts/bench_gate.sh --smoke
+echo "==> perf smoke (harness tests, every workload once, no lock drift)"
+(cd perf && cargo test --offline)
+bash perf/run.sh --smoke
+git diff --exit-code -- perf/Cargo.lock
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

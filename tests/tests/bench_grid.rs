@@ -6,11 +6,11 @@
 //! [`TOLERANCE`] — a detector quality regression fails the build even
 //! when every functional test still passes.
 //!
-//! Bootstrap protocol (same as `bench/baseline.json` for perf): a golden
-//! carrying `"bootstrap": true` has no frozen scores yet, so the
-//! comparison is skipped (shape checks still run). To freeze it, run the
-//! golden grid on the reference environment and replace the file with the
-//! emitted results JSON minus the bootstrap flag.
+//! Bootstrap protocol: a golden carrying `"bootstrap": true` has no
+//! frozen scores yet, so the comparison is skipped (shape checks still
+//! run). To freeze it, run the golden grid on the reference environment
+//! and replace the file with the emitted results JSON minus the
+//! bootstrap flag.
 
 use enld_baselines::DetectorKind;
 use enld_bench::grid::{
