@@ -349,10 +349,6 @@ impl NeighborIndex for AnnClassIndex {
     ) -> Vec<Vec<Neighbor>> {
         AnnClassIndex::k_nearest_in_class_batch(self, labels, queries, k)
     }
-
-    fn remove(&mut self, label: u32, global: usize) -> bool {
-        AnnClassIndex::remove(self, label, global)
-    }
 }
 
 #[cfg(test)]

@@ -132,11 +132,10 @@ impl NoisyLabelDetector for ConfidentLearning {
         }
 
         let mut noisy_flags = vec![false; d.len()];
-        match self.method {
-            PruneMethod::ByClass => {
-                // For each observed class i, prune the n_i least
-                // self-confident samples.
-                for (i, joint_row) in joint.iter().enumerate() {
+        for (i, joint_row) in joint.iter().enumerate() {
+            match self.method {
+                PruneMethod::ByClass => {
+                    // Prune the n_i least self-confident samples of class i.
                     let n_i: usize = joint_row
                         .iter()
                         .enumerate()
@@ -146,33 +145,19 @@ impl NoisyLabelDetector for ConfidentLearning {
                     if n_i == 0 {
                         continue;
                     }
-                    let mut members: Vec<(usize, f32)> = (0..d.len())
-                        .filter(|&r| !d.missing_mask()[r] && d.labels()[r] as usize == i)
-                        .map(|r| (r, probs.row(r)[i]))
-                        .collect();
-                    members
-                        .sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-                    for &(r, _) in members.iter().take(n_i) {
+                    for r in ranked_members(d, &probs, i, |p| p[i]).into_iter().take(n_i) {
                         noisy_flags[r] = true;
                     }
                 }
-            }
-            PruneMethod::ByNoiseRate => {
-                // For each off-diagonal (i, j), prune the C[i][j] samples
-                // with the largest margin p_j − p_i.
-                for (i, joint_row) in joint.iter().enumerate() {
+                PruneMethod::ByNoiseRate => {
+                    // For each off-diagonal (i, j), prune the C[i][j] samples
+                    // with the largest margin p_j − p_i.
                     for (j, &count) in joint_row.iter().enumerate() {
                         if i == j || count == 0 {
                             continue;
                         }
-                        let mut margins: Vec<(usize, f32)> = (0..d.len())
-                            .filter(|&r| !d.missing_mask()[r] && d.labels()[r] as usize == i)
-                            .map(|r| (r, probs.row(r)[j] - probs.row(r)[i]))
-                            .collect();
-                        margins.sort_by(|a, b| {
-                            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                        });
-                        for &(r, _) in margins.iter().take(count) {
+                        let by_margin = ranked_members(d, &probs, i, |p| p[i] - p[j]);
+                        for r in by_margin.into_iter().take(count) {
                             noisy_flags[r] = true;
                         }
                     }
@@ -186,6 +171,24 @@ impl NoisyLabelDetector for ConfidentLearning {
     fn setup_secs(&self) -> f64 {
         self.setup_secs
     }
+}
+
+/// The labelled rows of observed class `class`, lowest `key` first (ties
+/// keep row order). `f32::total_cmp` keeps the ranking a total order when
+/// a confidence is NaN — such rows rank last instead of making `sort_by`
+/// panic or scrambling the finite ones.
+fn ranked_members(
+    d: &Dataset,
+    probs: &Matrix,
+    class: usize,
+    key: impl Fn(&[f32]) -> f32,
+) -> Vec<usize> {
+    let mut members: Vec<(usize, f32)> = (0..d.len())
+        .filter(|&r| !d.missing_mask()[r] && d.labels()[r] as usize == class)
+        .map(|r| (r, key(probs.row(r))))
+        .collect();
+    members.sort_by(|a, b| a.1.total_cmp(&b.1));
+    members.into_iter().map(|(r, _)| r).collect()
 }
 
 #[cfg(test)]
@@ -214,6 +217,34 @@ mod tests {
             assert!(m.f1 > 0.4, "{}: f1 {}", cl.name(), m.f1);
             assert_eq!(report.clean.len() + report.noisy.len(), req.data.len());
         }
+    }
+
+    /// Four rows of class 0 and one of class 1; row 1 is all-NaN (a NaN
+    /// feature reached the model).
+    fn nan_row_fixture() -> (Dataset, Matrix) {
+        let d = Dataset::new(vec![0.0; 5], vec![0, 0, 0, 1, 0], 1, 2);
+        let nan = f32::NAN;
+        let probs = Matrix::from_vec(5, 2, vec![0.9, 0.1, nan, nan, 0.2, 0.8, 0.5, 0.5, 0.6, 0.4]);
+        (d, probs)
+    }
+
+    #[test]
+    fn self_confidence_ranking_survives_a_nan_row() {
+        let (d, probs) = nan_row_fixture();
+        // Least self-confident first; the NaN row cannot hide row 2 behind
+        // it, which a comparator that calls NaN "equal" to everything does.
+        assert_eq!(ranked_members(&d, &probs, 0, |p| p[0]), [2, 4, 0, 1]);
+    }
+
+    #[test]
+    fn margin_ranking_survives_a_nan_row() {
+        let (d, probs) = nan_row_fixture();
+        // Largest margin p_1 − p_0 first: row 2 (+0.6), 4 (−0.2), 0 (−0.8).
+        // The sign of an arithmetic NaN is the platform's, so row 1 may
+        // rank at either end — but never between the finite rows.
+        let ranked = ranked_members(&d, &probs, 0, |p| p[0] - p[1]);
+        assert!(ranked == [2, 4, 0, 1] || ranked == [1, 2, 4, 0], "{ranked:?}");
+        assert_eq!(ranked_members(&d, &probs, 1, |p| p[1] - p[0]), [3]);
     }
 
     #[test]

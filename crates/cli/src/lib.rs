@@ -227,9 +227,6 @@ pub struct DetectOverrides {
     pub seed: Option<u64>,
     /// Neighbour-index backend (`--index exact|hnsw`).
     pub index: Option<IndexBackend>,
-    /// Route per-task inference scans through the int8 path
-    /// (`--quantized`).
-    pub quantized: bool,
 }
 
 /// `enld detect`: serves every arrival and returns the verdicts.
@@ -609,7 +606,6 @@ fn config_for(file: &LakeFile, overrides: DetectOverrides) -> EnldConfig {
     if let Some(index) = overrides.index {
         cfg.index = index;
     }
-    cfg.quantized = overrides.quantized;
     cfg
 }
 

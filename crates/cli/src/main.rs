@@ -17,11 +17,11 @@ usage:
                 [--seed N] --out FILE
   enld bench    --grid FILE [--out DIR]
   enld detect   --lake FILE [--out FILE] [--iterations N] [--k N] [--seed N] [--ledger FILE]
-                [--index exact|hnsw] [--quantized] [--checkpoint FILE [--resume]]
+                [--index exact|hnsw] [--checkpoint FILE [--resume]]
                 [--alert-rules FILE]
   enld serve    --lake FILE [--workers N] [--policy fifo|sjf|priority|edf]
                 [--queue-limit N] [--out FILE] [--iterations N] [--k N] [--seed N]
-                [--index exact|hnsw] [--quantized] [--obs-addr HOST:PORT]
+                [--index exact|hnsw] [--obs-addr HOST:PORT]
                 [--obs-linger SECS] [--ledger FILE] [--alert-rules FILE]
                 [--healthz-strict]
   enld audit    --lake FILE [--arrival N] [--workers N]
@@ -73,11 +73,6 @@ arrive, persisted inside checkpoints); the default 'exact' rebuilds per round
 --checkpoint FILE persists detector state atomically at iteration boundaries;
 --resume restores it and continues, skipping arrivals already completed
 
---quantized routes the per-task fine-tuned inference scans through int8
-weights and activations (per-row absmax scales, f32 accumulate) for extra
-throughput; general-model training, estimation, and checkpoints stay f32, so
-checkpoints and resumes are unaffected by the flag
-
 ENLD_FAILPOINTS=\"site=action[@trigger];...\" arms deterministic fault injection
 (testing only); see DESIGN.md section 10 for the failpoint catalogue
 
@@ -100,7 +95,6 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
             "k",
             "seed",
             "index",
-            "quantized",
             "ledger",
             "checkpoint",
             "resume",
@@ -119,7 +113,6 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
             "k",
             "seed",
             "index",
-            "quantized",
             "obs-addr",
             "obs-linger",
             "ledger",
@@ -134,7 +127,7 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
 ];
 
 /// Flags that take no value; their presence means "true".
-const SWITCH_FLAGS: &[&str] = &["resume", "healthz-strict", "quantized"];
+const SWITCH_FLAGS: &[&str] = &["resume", "healthz-strict"];
 
 struct Args {
     flags: Vec<(String, String)>,
@@ -336,7 +329,6 @@ fn run() -> Result<(), String> {
                 k: args.parse_num("k")?,
                 seed: args.parse_num("seed")?,
                 index: args.parse_index()?,
-                quantized: args.has("quantized"),
             };
             let ledger = args.get("ledger").map(PathBuf::from);
             let recovery = RecoveryOptions {
@@ -393,7 +385,6 @@ fn run() -> Result<(), String> {
                     k: args.parse_num("k")?,
                     seed: args.parse_num("seed")?,
                     index: args.parse_index()?,
-                    quantized: args.has("quantized"),
                 },
                 obs: obs_server.is_some().then(|| Arc::clone(&obs_bridge)),
                 ledger: args.get("ledger").map(PathBuf::from),

@@ -5,10 +5,11 @@
 //! momentum), the estimated conditional `P̃`, the high-quality set `H`,
 //! the accumulated clean-inventory selection `S_c`, the task/update
 //! counters that drive every derived RNG seed — and, when a detection
-//! task was in flight, the full per-task cursor (fine-tuned `θ'`,
-//! contrastive set `C`, ambiguous set `A`, sticky clean flags `S`,
-//! inventory vote tallies, pseudo-label votes, per-iteration history and
-//! the audit trace).
+//! task was in flight, the task itself: [`InFlightTask`] is the state
+//! `Enld::detect` mutates while it runs, encoded by reference at every
+//! boundary (fine-tuned `θ'`, contrastive set `C`, ambiguous set `A`,
+//! sticky clean flags `S`, inventory vote tallies, pseudo-label votes,
+//! per-iteration history and the audit trace).
 //!
 //! # Format
 //!
@@ -22,6 +23,7 @@
 //! crash mid-write can never corrupt the previous checkpoint; a leftover
 //! `.tmp` file is simply ignored by [`Checkpoint::load`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -32,6 +34,7 @@ use enld_nn::matrix::Matrix;
 use enld_nn::model::Mlp;
 
 use crate::config::EnldConfig;
+use crate::ledger::{ContrastDraw, SampleDraw};
 use crate::report::IterationSnapshot;
 use crate::sampling::{ContrastSample, SampleSource};
 
@@ -149,28 +152,47 @@ pub struct CondState {
     pub cond: Vec<f64>,
 }
 
-/// One contrastive draw of the audit trace, as logged per sample.
+/// Per-task audit state gathered while a ledger is attached, folded into
+/// `SampleRecord`s at the end of `Enld::detect`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrawState {
-    pub round: i64,
-    pub candidate: u32,
-    pub neighbors: Vec<usize>,
-}
-
-/// The audit trace accumulated so far for the in-flight task (present
-/// only when a ledger was attached when the checkpoint was written).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceState {
-    pub steps: usize,
-    /// `votes[sample][iteration][step]`.
+pub struct TaskTrace {
+    /// `votes[sample][iteration][step]`: did `θ'` agree with the observed
+    /// label at that step?
     pub votes: Vec<Vec<Vec<bool>>>,
     pub ambiguous_initial: Vec<bool>,
+    /// Iterations after which the sample was still ambiguous.
     pub still_ambiguous: Vec<Vec<usize>>,
-    pub draws: Vec<Vec<DrawState>>,
+    /// Contrastive draws per sample across selection rounds.
+    pub draws: Vec<Vec<SampleDraw>>,
 }
 
-/// The per-task cursor of a detection interrupted between iterations.
-#[derive(Debug, Clone, PartialEq)]
+impl TaskTrace {
+    pub(crate) fn new(samples: usize, iterations: usize, steps: usize) -> Self {
+        Self {
+            votes: vec![vec![vec![false; steps]; iterations]; samples],
+            ambiguous_initial: vec![false; samples],
+            still_ambiguous: vec![Vec::new(); samples],
+            draws: vec![Vec::new(); samples],
+        }
+    }
+
+    /// Files one selection round's [`ContrastDraw`]s under their samples
+    /// (`round` is −1 for the pre-warm-up selection, else the iteration).
+    pub(crate) fn absorb_draws(&mut self, round: i64, draws: Vec<ContrastDraw>) {
+        for draw in draws {
+            self.draws[draw.sample].push(SampleDraw {
+                round,
+                candidate: draw.candidate,
+                neighbors: draw.neighbors,
+            });
+        }
+    }
+}
+
+/// The mutable state of one detection task: what `Enld::detect` carries
+/// from phase to phase, what a checkpoint encodes at every boundary, and
+/// what `Enld::resume_from` parks until the matching dataset arrives.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InFlightTask {
     /// Fingerprint of the incremental dataset `D` being processed.
     pub d_fp: u64,
@@ -178,7 +200,9 @@ pub struct InFlightTask {
     pub next_iteration: usize,
     pub warmup_val_acc: f32,
     pub ambiguous_initial: usize,
-    /// The fine-tuned model `θ'` (with momentum) as of the boundary.
+    /// The fine-tuned model `θ'` (with momentum) as of the last
+    /// checkpointed boundary; between boundaries the live `Mlp` that
+    /// `detect` trains is ahead of it.
     pub theta: ModelState,
     pub contrast: Vec<ContrastSample>,
     pub ambiguous: Vec<usize>,
@@ -186,15 +210,20 @@ pub struct InFlightTask {
     pub in_s: Vec<bool>,
     /// Inventory clean-vote tallies `count_c` over `I_c`.
     pub count_c: Vec<usize>,
-    /// Pseudo-label votes for missing-label samples (empty when absent).
+    /// Pseudo-label votes for missing-label samples (empty when labelled).
     pub pseudo_votes: Vec<Vec<u32>>,
     pub history: Vec<IterationSnapshot>,
-    pub trace: Option<TraceState>,
+    /// Present only while a ledger is attached.
+    pub trace: Option<TaskTrace>,
 }
 
 /// A complete, self-validating snapshot of detector state.
+///
+/// The in-flight section is borrowed when the checkpoint is captured from
+/// a running detector (so persisting never deep-clones the task) and
+/// owned when it was loaded from bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
+pub struct Checkpoint<'a> {
     /// Fingerprint of the [`EnldConfig`] the detector was built with.
     pub config_fp: u64,
     /// Fingerprint of the inventory dataset passed to `Enld::init`.
@@ -206,7 +235,7 @@ pub struct Checkpoint {
     pub sc_accum: Vec<bool>,
     pub cond: CondState,
     pub model: ModelState,
-    pub in_flight: Option<InFlightTask>,
+    pub in_flight: Option<Cow<'a, InFlightTask>>,
     /// Serialized HNSW index over the high-quality set (`--index hnsw`
     /// runs only). Opaque, internally checksummed `enld-ann` blob;
     /// `None` for the exact backend. Restoring it on `--resume` skips
@@ -214,7 +243,7 @@ pub struct Checkpoint {
     pub ann: Option<Vec<u8>>,
 }
 
-impl Checkpoint {
+impl Checkpoint<'_> {
     /// Serialises to the framed binary format (magic/version/checksum).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Enc::default();
@@ -234,7 +263,7 @@ impl Checkpoint {
     /// # Errors
     /// [`CheckpointError::Format`] on bad magic, unsupported version,
     /// length/checksum mismatch, or a truncated payload.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint<'static>, CheckpointError> {
         if bytes.len() < 28 {
             return Err(CheckpointError::Format("file shorter than the header".into()));
         }
@@ -260,7 +289,7 @@ impl Checkpoint {
             return Err(CheckpointError::Format("checksum mismatch (corrupt payload)".into()));
         }
         let mut dec = Dec { bytes: payload, pos: 0 };
-        let ckpt = Self::decode(&mut dec)?;
+        let ckpt = Checkpoint::decode(&mut dec)?;
         if dec.pos != payload.len() {
             return Err(CheckpointError::Format("trailing bytes after payload".into()));
         }
@@ -295,9 +324,9 @@ impl Checkpoint {
     ///
     /// # Errors
     /// I/O failures or an invalid file (see [`Checkpoint::from_bytes`]).
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
+    pub fn load(path: &Path) -> Result<Checkpoint<'static>, CheckpointError> {
         let bytes = fs::read(path)?;
-        Self::from_bytes(&bytes)
+        Checkpoint::from_bytes(&bytes)
     }
 
     fn encode(&self, e: &mut Enc) {
@@ -312,23 +341,11 @@ impl Checkpoint {
         e.u64_slice(&self.cond.joint);
         e.f64_slice(&self.cond.cond);
         encode_model(e, &self.model);
-        match &self.in_flight {
-            None => e.u8(0),
-            Some(t) => {
-                e.u8(1);
-                encode_in_flight(e, t);
-            }
-        }
-        match &self.ann {
-            None => e.u8(0),
-            Some(blob) => {
-                e.u8(1);
-                e.u8_slice(blob);
-            }
-        }
+        e.opt(self.in_flight.as_deref(), encode_in_flight);
+        e.opt(self.ann.as_deref(), Enc::u8_slice);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+    fn decode(d: &mut Dec<'_>) -> Result<Checkpoint<'static>, CheckpointError> {
         let config_fp = d.u64()?;
         let inventory_fp = d.u64()?;
         let tasks = d.usize()?;
@@ -344,21 +361,9 @@ impl Checkpoint {
         }
         let cond = CondState { classes, joint, cond: cond_rows };
         let model = decode_model(d)?;
-        let in_flight = match d.u8()? {
-            0 => None,
-            1 => Some(decode_in_flight(d)?),
-            other => {
-                return Err(CheckpointError::Format(format!("bad in-flight flag {other}")));
-            }
-        };
-        let ann = match d.u8()? {
-            0 => None,
-            1 => Some(d.u8_vec()?),
-            other => {
-                return Err(CheckpointError::Format(format!("bad ann-index flag {other}")));
-            }
-        };
-        Ok(Self {
+        let in_flight = d.opt("in-flight", decode_in_flight)?.map(Cow::Owned);
+        let ann = d.opt("ann-index", Dec::u8_vec)?;
+        Ok(Checkpoint {
             config_fp,
             inventory_fp,
             tasks,
@@ -441,13 +446,7 @@ fn encode_in_flight(e: &mut Enc, t: &InFlightTask) {
         e.usize(h.ambiguous);
         e.usize(h.contrastive_size);
     }
-    match &t.trace {
-        None => e.u8(0),
-        Some(tr) => {
-            e.u8(1);
-            encode_trace(e, tr);
-        }
-    }
+    e.opt(t.trace.as_ref(), encode_trace);
 }
 
 fn decode_in_flight(d: &mut Dec<'_>) -> Result<InFlightTask, CheckpointError> {
@@ -486,11 +485,7 @@ fn decode_in_flight(d: &mut Dec<'_>) -> Result<InFlightTask, CheckpointError> {
             contrastive_size: d.usize()?,
         });
     }
-    let trace = match d.u8()? {
-        0 => None,
-        1 => Some(decode_trace(d)?),
-        other => return Err(CheckpointError::Format(format!("bad trace flag {other}"))),
-    };
+    let trace = d.opt("trace", decode_trace)?;
     Ok(InFlightTask {
         d_fp,
         next_iteration,
@@ -507,8 +502,10 @@ fn decode_in_flight(d: &mut Dec<'_>) -> Result<InFlightTask, CheckpointError> {
     })
 }
 
-fn encode_trace(e: &mut Enc, t: &TraceState) {
-    e.usize(t.steps);
+fn encode_trace(e: &mut Enc, t: &TaskTrace) {
+    // Width of a vote row: redundant with `votes`, kept so the v2 byte
+    // layout stays what it was.
+    e.usize(t.votes.first().and_then(|s| s.first()).map_or(0, Vec::len));
     e.usize(t.votes.len());
     for per_sample in &t.votes {
         e.usize(per_sample.len());
@@ -532,8 +529,8 @@ fn encode_trace(e: &mut Enc, t: &TraceState) {
     }
 }
 
-fn decode_trace(d: &mut Dec<'_>) -> Result<TraceState, CheckpointError> {
-    let steps = d.usize()?;
+fn decode_trace(d: &mut Dec<'_>) -> Result<TaskTrace, CheckpointError> {
+    let _vote_row_width = d.usize()?;
     let n = d.usize()?;
     let mut votes = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -556,7 +553,7 @@ fn decode_trace(d: &mut Dec<'_>) -> Result<TraceState, CheckpointError> {
         let m = d.usize()?;
         let mut per_sample = Vec::with_capacity(m.min(1 << 16));
         for _ in 0..m {
-            per_sample.push(DrawState {
+            per_sample.push(SampleDraw {
                 round: d.i64()?,
                 candidate: d.u32()?,
                 neighbors: d.usize_vec()?,
@@ -564,7 +561,7 @@ fn decode_trace(d: &mut Dec<'_>) -> Result<TraceState, CheckpointError> {
         }
         draws.push(per_sample);
     }
-    Ok(TraceState { steps, votes, ambiguous_initial, still_ambiguous, draws })
+    Ok(TaskTrace { votes, ambiguous_initial, still_ambiguous, draws })
 }
 
 /// The `.tmp` sibling used by [`Checkpoint::save_atomic`].
@@ -580,12 +577,9 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 
 /// FNV-1a 64-bit hash — the checkpoint checksum and fingerprint hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write(bytes);
+    h.0
 }
 
 struct Fnv(u64);
@@ -645,6 +639,14 @@ struct Enc {
 impl Enc {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// An optional section: presence flag, then the section itself.
+    fn opt<T: ?Sized>(&mut self, v: Option<&T>, encode: impl FnOnce(&mut Self, &T)) {
+        self.u8(v.is_some() as u8);
+        if let Some(v) = v {
+            encode(self, v);
+        }
     }
 
     fn u32(&mut self, v: u32) {
@@ -743,6 +745,19 @@ impl Dec<'_> {
         Ok(self.take(1)?[0])
     }
 
+    /// An optional section written by [`Enc::opt`].
+    fn opt<T>(
+        &mut self,
+        what: &str,
+        decode: impl FnOnce(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Option<T>, CheckpointError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => decode(self).map(Some),
+            other => Err(CheckpointError::Format(format!("bad {what} flag {other}"))),
+        }
+    }
+
     fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
@@ -834,7 +849,7 @@ impl Dec<'_> {
 mod tests {
     use super::*;
 
-    fn sample_checkpoint() -> Checkpoint {
+    fn sample_checkpoint() -> Checkpoint<'static> {
         Checkpoint {
             config_fp: 0xDEAD_BEEF,
             inventory_fp: 42,
@@ -859,7 +874,7 @@ mod tests {
                     vel_b: vec![0.5, 0.5, 0.5],
                 }],
             },
-            in_flight: Some(InFlightTask {
+            in_flight: Some(Cow::Owned(InFlightTask {
                 d_fp: 7,
                 next_iteration: 2,
                 warmup_val_acc: 0.875,
@@ -879,14 +894,17 @@ mod tests {
                     ambiguous: 4,
                     contrastive_size: 8,
                 }],
-                trace: Some(TraceState {
-                    steps: 2,
+                trace: Some(TaskTrace {
                     votes: vec![vec![vec![true, false], vec![false, false]]],
                     ambiguous_initial: vec![true],
                     still_ambiguous: vec![vec![0]],
-                    draws: vec![vec![DrawState { round: -1, candidate: 1, neighbors: vec![3, 9] }]],
+                    draws: vec![vec![SampleDraw {
+                        round: -1,
+                        candidate: 1,
+                        neighbors: vec![3, 9],
+                    }]],
                 }),
-            }),
+            })),
             ann: Some(vec![0xEE, 0x00, 0x7F]),
         }
     }
@@ -897,6 +915,25 @@ mod tests {
         let bytes = ckpt.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).expect("valid");
         assert_eq!(back, ckpt);
+    }
+
+    /// The layout proof: a blob the previous release wrote — a
+    /// ledger-attached task stopped between iterations, so the in-flight
+    /// and trace sections are both present — decodes into the one task
+    /// type and re-encodes to the same bytes.
+    #[test]
+    fn committed_v2_fixture_round_trips_byte_identically() {
+        let blob = include_bytes!("../../../tests/fixtures/ckpt_v2_in_flight.bin");
+        let ckpt = Checkpoint::from_bytes(blob).expect("fixture decodes");
+        let task = ckpt.in_flight.as_deref().expect("fixture carries a task in flight");
+        assert_eq!(task.next_iteration, 2, "stopped after the second iteration");
+        assert_eq!(task.history.len(), 2);
+        let trace = task.trace.as_ref().expect("a ledger was attached");
+        assert_eq!(trace.votes.len(), task.in_s.len());
+        assert!(trace.draws.iter().flatten().any(|d| d.round == -1));
+        assert!(trace.draws.iter().flatten().any(|d| d.round >= 0));
+        assert!(task.pseudo_votes.iter().any(|v| !v.is_empty()), "missing labels present");
+        assert_eq!(ckpt.to_bytes(), blob);
     }
 
     #[test]

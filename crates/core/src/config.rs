@@ -40,10 +40,6 @@ pub struct EnldConfig {
     /// Neighbour-index backend for contrastive sampling (exact KD-trees
     /// or the incremental HNSW graphs from `enld-ann`).
     pub index: IndexBackend,
-    /// Route per-task fine-tuned inference scans through the int8
-    /// quantized path (`--quantized`). General-model estimation,
-    /// training, and everything that lands in a checkpoint stay f32.
-    pub quantized: bool,
     /// Master seed for model init, splits and sampling.
     pub seed: u64,
 }
@@ -72,7 +68,6 @@ impl EnldConfig {
             policy: SamplingPolicy::Contrastive,
             ablation: AblationVariant::Origin,
             index: IndexBackend::Exact,
-            quantized: false,
             seed: 0,
         }
     }
@@ -105,7 +100,6 @@ impl EnldConfig {
             policy: SamplingPolicy::Contrastive,
             ablation: AblationVariant::Origin,
             index: IndexBackend::Exact,
-            quantized: false,
             seed: 0,
         }
     }

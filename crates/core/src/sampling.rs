@@ -84,6 +84,25 @@ impl SamplingPolicy {
     }
 }
 
+/// What Alg. 2 draws from: the per-class neighbour index over the
+/// high-quality samples and the conditional `P̃` that proposes which
+/// class to query.
+pub struct ContrastSource<'a> {
+    /// Any [`NeighborIndex`] backend (exact KD-trees or the incremental
+    /// HNSW graphs) whose hits map back to `I_c` indices.
+    pub index: &'a dyn NeighborIndex,
+    /// Labels available among the high-quality samples; candidate draws
+    /// are restricted to them.
+    pub hq_label_set: &'a [u32],
+    /// Observed labels of `I_c` (used to label the selected samples).
+    pub ic_labels: &'a [u32],
+    pub cond: &'a ConditionalLabelProbability,
+    /// Neighbours per ambiguous sample.
+    pub k: usize,
+    /// ENLD-4 ablation: query the observed class instead of drawing one.
+    pub identity_label: bool,
+}
+
 /// Alg. 2: contrastive sampling.
 ///
 /// For every ambiguous sample `a` (a row of the incremental dataset), draw
@@ -92,11 +111,6 @@ impl SamplingPolicy {
 /// ENLD-4 ablation), and take the `k` nearest high-quality samples of
 /// class `j` in feature space. The result is a multiset — duplicates act
 /// as implicit re-weighting (paper §IV-D).
-///
-/// `index` is any [`NeighborIndex`] backend (exact KD-trees or the
-/// incremental HNSW graphs) whose hits map back to `I_c` indices, and
-/// `ic_labels` are the observed labels of `I_c` (used to label the
-/// selected samples).
 ///
 /// When `trace` is given, one [`ContrastDraw`] per ambiguous sample is
 /// appended to it — the audit ledger's record of which candidate label
@@ -108,36 +122,26 @@ impl SamplingPolicy {
 /// order (the RNG stream is identical to the historical per-sample loop),
 /// then the pure k-NN queries run as one parallel batch and results are
 /// assembled back in sample order.
-#[allow(clippy::too_many_arguments)]
 pub fn contrastive_sampling(
+    source: &ContrastSource<'_>,
     ambiguous: &[usize],
     ambiguous_labels: &[u32],
     query_feats: &Matrix,
-    index: &dyn NeighborIndex,
-    hq_label_set: &[u32],
-    ic_labels: &[u32],
-    cond: &ConditionalLabelProbability,
-    k: usize,
-    identity_label: bool,
     rng: &mut StdRng,
     mut trace: Option<&mut Vec<ContrastDraw>>,
 ) -> Vec<ContrastSample> {
     assert_eq!(ambiguous.len(), ambiguous_labels.len(), "ambiguous shape mismatch");
-    let registry = enld_telemetry::metrics::global();
-    let query_hist = registry.histogram("knn.class_query_secs");
-    let query_count = registry.counter("knn.class_queries_total");
     // Phase 1 — sequential: every RNG draw happens in sample order.
-    let candidates: Vec<u32> =
-        ambiguous_labels
-            .iter()
-            .map(|&observed| {
-                if identity_label {
-                    observed
-                } else {
-                    cond.random_label(observed, hq_label_set, rng)
-                }
-            })
-            .collect();
+    let candidates: Vec<u32> = ambiguous_labels
+        .iter()
+        .map(|&observed| {
+            if source.identity_label {
+                observed
+            } else {
+                source.cond.random_label(observed, source.hq_label_set, rng)
+            }
+        })
+        .collect();
     // Phase 2 — parallel: gather the query rows and answer them as a batch.
     let dim = query_feats.cols();
     let mut queries = Vec::with_capacity(ambiguous.len() * dim);
@@ -145,18 +149,19 @@ pub fn contrastive_sampling(
         queries.extend_from_slice(query_feats.row(a));
     }
     let query_start = std::time::Instant::now();
-    let all_hits = index.k_nearest_in_class_batch(&candidates, &queries, k);
-    // Batched timing: the histogram keeps one entry per query (mean batch
-    // latency), so its count/sum still track query volume and wall-clock.
+    let all_hits = source.index.k_nearest_in_class_batch(&candidates, &queries, source.k);
+    // Batched timing: the histogram holds the mean batch latency once per
+    // query, so its count/sum still track query volume and wall-clock.
     if !ambiguous.is_empty() {
-        let per_query = query_start.elapsed().as_secs_f64() / ambiguous.len() as f64;
-        for _ in 0..ambiguous.len() {
-            query_hist.record(per_query);
-        }
-        query_count.add(ambiguous.len() as u64);
+        let n = ambiguous.len() as u64;
+        let registry = enld_telemetry::metrics::global();
+        registry
+            .histogram("knn.class_query_secs")
+            .record_n(query_start.elapsed().as_secs_f64() / n as f64, n);
+        registry.counter("knn.class_queries_total").add(n);
     }
     // Phase 3 — sequential assembly in sample order.
-    let mut out = Vec::with_capacity(ambiguous.len() * k);
+    let mut out = Vec::with_capacity(ambiguous.len() * source.k);
     for ((&a, &observed), (&j, hits)) in
         ambiguous.iter().zip(ambiguous_labels).zip(candidates.iter().zip(&all_hits))
     {
@@ -171,7 +176,7 @@ pub fn contrastive_sampling(
         for hit in hits {
             out.push(ContrastSample {
                 source: SampleSource::Inventory(hit.index),
-                label: ic_labels[hit.index],
+                label: source.ic_labels[hit.index],
             });
         }
     }
@@ -219,9 +224,7 @@ pub fn policy_sampling(
                 }
             };
             let mut ranked: Vec<usize> = candidates.to_vec();
-            ranked.sort_by(|&a, &b| {
-                score(b).partial_cmp(&score(a)).unwrap_or(std::cmp::Ordering::Equal)
-            });
+            ranked.sort_by(|&a, &b| score(b).total_cmp(&score(a)));
             ranked.truncate(count);
             // With fewer candidates than requested, cycle through them so
             // the fine-tune set keeps the intended size (re-weighting).
@@ -335,25 +338,24 @@ mod tests {
         ConditionalLabelProbability::estimate(&[0, 1], &[0, 1], 2)
     }
 
+    fn source<'a>(
+        index: &'a ClassIndex,
+        ic_labels: &'a [u32],
+        cond: &'a ConditionalLabelProbability,
+        k: usize,
+        identity_label: bool,
+    ) -> ContrastSource<'a> {
+        ContrastSource { index, hq_label_set: &[0, 1], ic_labels, cond, k, identity_label }
+    }
+
     #[test]
     fn contrastive_picks_nearest_of_sampled_class() {
         let (index, ic_labels, query) = fixture();
         let cond = cond_identity();
         let mut rng = StdRng::seed_from_u64(1);
         // Identity conditional: observed 0 stays 0 → neighbours are ic 0, 1.
-        let c = contrastive_sampling(
-            &[0],
-            &[0],
-            &query,
-            &index,
-            &[0, 1],
-            &ic_labels,
-            &cond,
-            2,
-            false,
-            &mut rng,
-            None,
-        );
+        let src = source(&index, &ic_labels, &cond, 2, false);
+        let c = contrastive_sampling(&src, &[0], &[0], &query, &mut rng, None);
         assert_eq!(c.len(), 2);
         assert!(matches!(c[0].source, SampleSource::Inventory(0)));
         assert!(matches!(c[1].source, SampleSource::Inventory(1)));
@@ -367,34 +369,12 @@ mod tests {
         let cond = ConditionalLabelProbability::estimate(&[0, 0, 1], &[1, 1, 1], 2);
         let mut rng = StdRng::seed_from_u64(2);
         // With random_label: observed 0 maps to class 1 → far neighbours.
-        let c = contrastive_sampling(
-            &[0],
-            &[0],
-            &query,
-            &index,
-            &[0, 1],
-            &ic_labels,
-            &cond,
-            1,
-            false,
-            &mut rng,
-            None,
-        );
+        let drawn = source(&index, &ic_labels, &cond, 1, false);
+        let c = contrastive_sampling(&drawn, &[0], &[0], &query, &mut rng, None);
         assert!(matches!(c[0].source, SampleSource::Inventory(2)));
         // With identity (ENLD-4): stays class 0 → near neighbours.
-        let c = contrastive_sampling(
-            &[0],
-            &[0],
-            &query,
-            &index,
-            &[0, 1],
-            &ic_labels,
-            &cond,
-            1,
-            true,
-            &mut rng,
-            None,
-        );
+        let identity = source(&index, &ic_labels, &cond, 1, true);
+        let c = contrastive_sampling(&identity, &[0], &[0], &query, &mut rng, None);
         assert!(matches!(c[0].source, SampleSource::Inventory(0)));
     }
 
@@ -403,20 +383,29 @@ mod tests {
         let (index, ic_labels, query) = fixture();
         let cond = cond_identity();
         let mut rng = StdRng::seed_from_u64(3);
-        let c = contrastive_sampling(
-            &[],
-            &[],
-            &query,
-            &index,
-            &[0, 1],
-            &ic_labels,
-            &cond,
-            3,
-            false,
-            &mut rng,
-            None,
-        );
+        let src = source(&index, &ic_labels, &cond, 3, false);
+        let c = contrastive_sampling(&src, &[], &[], &query, &mut rng, None);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn class_query_histogram_counts_queries_not_batches() {
+        let (index, ic_labels, _) = fixture();
+        let cond = cond_identity();
+        let query = Matrix::from_vec(3, 2, vec![0.1, 0.0, 9.0, 0.0, 0.2, 0.0]);
+        let registry = enld_telemetry::metrics::global();
+        let (hist, counter) = (
+            registry.histogram("knn.class_query_secs"),
+            registry.counter("knn.class_queries_total"),
+        );
+        // Other tests in this process query too, so compare deltas of the
+        // two instruments rather than absolute values.
+        let (h0, c0) = (hist.count(), counter.get());
+        let src = source(&index, &ic_labels, &cond, 1, true);
+        let mut rng = StdRng::seed_from_u64(4);
+        let _ = contrastive_sampling(&src, &[0, 1, 2], &[0, 1, 0], &query, &mut rng, None);
+        assert!(hist.count() - h0 >= 3);
+        assert!(counter.get() - c0 >= 3);
     }
 
     fn probs() -> Matrix {
@@ -456,6 +445,29 @@ mod tests {
                 "{policy:?} must pick the most uncertain sample"
             );
         }
+    }
+
+    #[test]
+    fn nan_probability_rows_rank_deterministically() {
+        // ic 1 is all-NaN (a NaN feature reached the model). Every scorer
+        // squashes it — `f32::max` skips NaN, entropy sums only `p > 0` —
+        // so it ranks as zero-confidence / zero-entropy and the finite
+        // rows keep their order around it under the total-order sort.
+        let nan = f32::NAN;
+        let probs = Matrix::from_vec(3, 2, vec![0.9, 0.1, nan, nan, 0.5, 0.5]);
+        let picks = |policy| {
+            let mut rng = StdRng::seed_from_u64(11);
+            policy_sampling(policy, 3, &probs, &[0, 0, 1], &[0, 1, 2], &mut rng)
+                .iter()
+                .map(|s| match s.source {
+                    SampleSource::Inventory(i) => i,
+                    _ => unreachable!(),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(picks(SamplingPolicy::HighestConfidence), [0, 2, 1]);
+        assert_eq!(picks(SamplingPolicy::LeastConfidence), [1, 2, 0]);
+        assert_eq!(picks(SamplingPolicy::Entropy), [2, 0, 1]);
     }
 
     #[test]

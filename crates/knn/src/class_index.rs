@@ -105,19 +105,6 @@ impl ClassIndex {
             self.k_nearest_in_class(labels[i], &queries[i * self.dim..(i + 1) * self.dim], k)
         })
     }
-
-    /// Tombstones the sample with global index `global` in class `label`
-    /// (see [`KdTree::remove`]). Returns `false` when it is not indexed or
-    /// was already removed.
-    pub fn remove(&mut self, label: u32, global: usize) -> bool {
-        let Some((tree, globals)) = self.trees.get_mut(&label) else {
-            return false;
-        };
-        match globals.iter().position(|&g| g == global) {
-            Some(local) => tree.remove(local),
-            None => false,
-        }
-    }
 }
 
 impl NeighborIndex for ClassIndex {
@@ -144,10 +131,6 @@ impl NeighborIndex for ClassIndex {
         k: usize,
     ) -> Vec<Vec<Neighbor>> {
         ClassIndex::k_nearest_in_class_batch(self, labels, queries, k)
-    }
-
-    fn remove(&mut self, label: u32, global: usize) -> bool {
-        ClassIndex::remove(self, label, global)
     }
 }
 

@@ -16,20 +16,15 @@ use crate::kdtree::Neighbor;
 /// sequential loop over [`NeighborIndex::k_nearest_in_class`] at any
 /// thread count (the workspace-wide bit-identical determinism contract).
 ///
-/// # Mutation semantics
-///
-/// [`NeighborIndex::remove`] tombstones one indexed sample. The exact
-/// KD-tree backend supports it (tombstoned points are skipped during
-/// search but stay in the tree until the next rebuild); the HNSW backend
-/// additionally repairs the proximity graph around the removed node.
-/// Inserts are deliberately *not* part of the trait: the KD-tree is a
-/// static structure and an "insert" would be a silent full rebuild. The
-/// incremental backend exposes `insert`/`insert_batch` inherently.
+/// Mutation is deliberately *not* part of the trait: the KD-tree is a
+/// static structure (an "insert" would be a silent full rebuild), and
+/// the incremental backend exposes `insert`/`insert_batch`/`remove`
+/// inherently.
 pub trait NeighborIndex: Send + Sync {
     /// Classes present in the index, ascending.
     fn class_labels(&self) -> Vec<u32>;
 
-    /// Number of live (non-tombstoned) samples of `label`.
+    /// Number of live samples of `label`.
     fn class_len(&self, label: u32) -> usize;
 
     /// Total live samples.
@@ -52,10 +47,6 @@ pub trait NeighborIndex: Send + Sync {
         queries: &[f32],
         k: usize,
     ) -> Vec<Vec<Neighbor>>;
-
-    /// Tombstones the sample with global index `global` in class `label`.
-    /// Returns `false` when the sample is not (or no longer) indexed.
-    fn remove(&mut self, label: u32, global: usize) -> bool;
 }
 
 /// Tuning knobs of the HNSW backend. Lives here (not in `enld-ann`) so
@@ -143,18 +134,13 @@ mod tests {
         let features = vec![0.0f32, 0.0, 1.0, 0.0, 10.0, 10.0];
         let labels = vec![0u32, 0, 1];
         let keep = vec![5usize, 6, 7];
-        let mut idx = ClassIndex::build(&features, 2, &labels, &keep);
-        let dynamic: &mut dyn NeighborIndex = &mut idx;
+        let idx = ClassIndex::build(&features, 2, &labels, &keep);
+        let dynamic: &dyn NeighborIndex = &idx;
         assert_eq!(dynamic.class_labels(), vec![0, 1]);
         assert_eq!(dynamic.len(), 3);
+        assert_eq!(dynamic.class_len(0), 2);
         let hits = dynamic.k_nearest_in_class(0, &[0.1, 0.0], 2);
         assert_eq!(hits[0].index, 5);
-        assert!(dynamic.remove(0, 5));
-        assert!(!dynamic.remove(0, 5), "second remove is a no-op");
-        let hits = dynamic.k_nearest_in_class(0, &[0.1, 0.0], 2);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].index, 6);
-        assert_eq!(dynamic.len(), 2);
-        assert_eq!(dynamic.class_len(0), 1);
+        assert_eq!(hits[1].index, 6);
     }
 }

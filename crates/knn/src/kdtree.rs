@@ -56,22 +56,14 @@ struct Node {
     right: Option<Box<Node>>,
 }
 
-/// KD-tree over points packed in a flat `Vec<f32>`.
-///
-/// Supports tombstone removal ([`KdTree::remove`]): removed points stay in
-/// the tree as routing nodes but are skipped by every query. The structure
-/// is never rebalanced in place — callers that delete heavily should
-/// rebuild, which is exactly the cost the incremental `enld-ann` backend
-/// exists to avoid.
+/// KD-tree over points packed in a flat `Vec<f32>`. A static structure:
+/// built once, never mutated — incremental inserts and deletes are what
+/// the `enld-ann` backend exists for.
 #[derive(Debug, Clone)]
 pub struct KdTree {
     points: Vec<f32>,
     dim: usize,
     root: Option<Box<Node>>,
-    /// Live (non-tombstoned) point count.
-    len: usize,
-    /// Tombstone flags, indexed by original point index.
-    dead: Vec<bool>,
 }
 
 impl KdTree {
@@ -86,7 +78,7 @@ impl KdTree {
         let mut indices: Vec<usize> = (0..n).collect();
         let points = points.to_vec();
         let root = Self::build_node(&points, dim, &mut indices, 0);
-        Self { points, dim, root, len: n, dead: vec![false; n] }
+        Self { points, dim, root }
     }
 
     fn build_node(
@@ -114,30 +106,13 @@ impl KdTree {
         }))
     }
 
-    /// Number of live (non-tombstoned) points.
+    /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Tombstones the point at `index` (its position in the build buffer).
-    /// Returns `false` when `index` is out of range or already removed.
-    /// The point keeps routing queries but is never returned by one.
-    pub fn remove(&mut self, index: usize) -> bool {
-        if index >= self.dead.len() || self.dead[index] {
-            return false;
-        }
-        self.dead[index] = true;
-        self.len -= 1;
-        true
-    }
-
-    /// Whether the point at `index` has been tombstoned.
-    pub fn is_removed(&self, index: usize) -> bool {
-        self.dead.get(index).copied().unwrap_or(false)
+        self.points.len() / self.dim
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.points.is_empty()
     }
 
     pub fn dim(&self) -> usize {
@@ -176,14 +151,11 @@ impl KdTree {
         let Some(node) = node else { return };
         let p = self.point(node.point);
         let dist_sq: f32 = p.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-        // Tombstoned points still route the descent but never score.
-        if !self.dead[node.point] {
-            if heap.len() < k {
-                heap.push(HeapEntry(Neighbor { index: node.point, dist_sq }));
-            } else if dist_sq < heap.peek().expect("heap non-empty").0.dist_sq {
-                heap.pop();
-                heap.push(HeapEntry(Neighbor { index: node.point, dist_sq }));
-            }
+        if heap.len() < k {
+            heap.push(HeapEntry(Neighbor { index: node.point, dist_sq }));
+        } else if dist_sq < heap.peek().expect("heap non-empty").0.dist_sq {
+            heap.pop();
+            heap.push(HeapEntry(Neighbor { index: node.point, dist_sq }));
         }
 
         let delta = query[node.axis] - p[node.axis];
@@ -319,37 +291,6 @@ mod tests {
         // Brute force ranks every finite distance before the NaN one.
         let brute = brute_k_nearest(&pts, 2, &[0.0, 0.0], 4);
         assert_eq!(brute.iter().map(|h| h.index).collect::<Vec<_>>(), [2, 3, 0, 1]);
-    }
-
-    #[test]
-    fn removed_points_are_skipped_but_still_route() {
-        let pts = grid_points();
-        let mut tree = KdTree::build(&pts, 2);
-        // (2,3) = index 13 is the closest point to the query; tombstone it.
-        assert!(tree.remove(13));
-        assert!(!tree.remove(13), "double remove is a no-op");
-        assert!(tree.is_removed(13));
-        assert_eq!(tree.len(), 24);
-        let hits = tree.k_nearest(&[2.2, 3.1], 3);
-        assert!(hits.iter().all(|h| h.index != 13), "tombstoned point returned");
-        // Results still match brute force over the surviving points.
-        let survivors: Vec<f32> =
-            (0..25).filter(|i| *i != 13).flat_map(|i| pts[i * 2..i * 2 + 2].to_vec()).collect();
-        let brute = brute_k_nearest(&survivors, 2, &[2.2, 3.1], 3);
-        let td: Vec<f32> = hits.iter().map(|h| h.dist_sq).collect();
-        let bd: Vec<f32> = brute.iter().map(|h| h.dist_sq).collect();
-        assert_eq!(td, bd);
-    }
-
-    #[test]
-    fn remove_everything_empties_queries() {
-        let pts = vec![0.0f32, 0.0, 1.0, 0.0];
-        let mut tree = KdTree::build(&pts, 2);
-        assert!(tree.remove(0));
-        assert!(tree.remove(1));
-        assert!(tree.is_empty());
-        assert!(tree.k_nearest(&[0.0, 0.0], 2).is_empty());
-        assert!(!tree.remove(2), "out of range");
     }
 
     #[test]

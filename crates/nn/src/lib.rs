@@ -54,7 +54,6 @@ pub mod matrix;
 pub mod mixup;
 pub mod model;
 pub mod optimizer;
-pub mod persist;
 pub mod quant;
 pub mod trainer;
 
@@ -62,8 +61,7 @@ pub use arch::{ArchPreset, Connectivity, ModelConfig};
 pub use data::DataRef;
 pub use loss::softmax_cross_entropy;
 pub use matrix::Matrix;
-pub use model::Mlp;
+pub use model::{argmax, Mlp};
 pub use optimizer::SgdConfig;
-pub use persist::{load_model, save_model, SavedModel};
 pub use quant::{QuantizedDense, QuantizedMlp};
 pub use trainer::{TrainConfig, TrainHistory, Trainer};

@@ -287,7 +287,7 @@ impl Mlp {
     }
 
     /// Exports every trainable tensor as `(name, weights, bias)` in a
-    /// stable order — the persistence format of [`crate::persist`].
+    /// stable order — what the detector checkpoint stores.
     pub fn export_tensors(&self) -> Vec<(String, Matrix, Vec<f32>)> {
         let mut out = Vec::with_capacity(2 + 2 * self.blocks.len());
         let dump = |name: String, d: &Dense, out: &mut Vec<(String, Matrix, Vec<f32>)>| {
@@ -405,11 +405,12 @@ impl Mlp {
     }
 }
 
-/// Index of the maximum element (first on ties).
-pub fn argmax(row: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &v) in row.iter().enumerate() {
+/// Index of the maximum element (first on ties). Entries that compare
+/// with nothing (NaN) are never picked; 0 when there is nothing to pick.
+pub fn argmax<T: PartialOrd + Copy>(row: &[T]) -> usize {
+    let Some(start) = row.iter().position(|v| v.partial_cmp(v).is_some()) else { return 0 };
+    let (mut best, mut best_v) = (start, row[start]);
+    for (i, &v) in row.iter().enumerate().skip(start + 1) {
         if v > best_v {
             best_v = v;
             best = i;
@@ -588,5 +589,12 @@ mod tests {
     fn argmax_ties_pick_first() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), 1);
         assert_eq!(argmax(&[-1.0]), 0);
+        assert_eq!(argmax(&[f32::NEG_INFINITY, f32::NEG_INFINITY]), 0);
+        assert_eq!(argmax(&[f32::NAN, 0.5, f32::NAN]), 1);
+        assert_eq!(argmax(&[f32::NAN]), 0);
+        // Vote tallies: all-zero rows and ties resolve to the first class.
+        assert_eq!(argmax(&[0u32, 3, 2]), 1);
+        assert_eq!(argmax(&[0u32, 0]), 0);
+        assert_eq!(argmax::<u32>(&[]), 0);
     }
 }

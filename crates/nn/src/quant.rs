@@ -1,4 +1,4 @@
-//! Opt-in int8 inference path (`--quantized`).
+//! Int8 inference kernel — measured, not wired into the detector.
 //!
 //! Weights are quantized **per output row** with symmetric absmax
 //! scales (`scale = max|w|/127`, zero-point 0); activations are
@@ -11,17 +11,20 @@
 //! Because the integer dot is associative and every f32 op is
 //! element-wise, quantized inference is bit-identical across
 //! `ENLD_THREADS` settings just like the f32 kernels. It is *not*
-//! bit-identical to f32 inference — that is the reproducibility
-//! carve-out documented in DESIGN.md §13: the detector only routes
-//! per-task fine-tuned scans through this path, never the general
-//! model's estimation or training passes, so checkpointed state is
-//! unaffected by the flag.
+//! bit-identical to f32 inference.
+//!
+//! Not wired into the detector: the benchmark ledger shows no axis the
+//! int8 scans win on (DESIGN.md §13). [`QuantizedMlp::from_mlp`],
+//! [`QuantizedMlp::proba_and_features`] and
+//! [`QuantizedMlp::forward_inference`] stay only because `perf/harness`
+//! probes them (`nn.quant_*`); removing them belongs to a benchmark PR
+//! that may edit `perf/`.
 
 use crate::data::DataRef;
 use crate::dense::Dense;
 use crate::loss::softmax_inplace;
 use crate::matrix::Matrix;
-use crate::model::{argmax, Mlp, INFERENCE_BATCH};
+use crate::model::{Mlp, INFERENCE_BATCH};
 
 /// Quantizes `values` symmetrically to i8 with an absmax scale.
 /// Returns the scale; an all-zero input gets scale 0 and all-zero codes.
@@ -99,14 +102,6 @@ impl QuantizedDense {
             w_scales[o] = quantize_row_wide(&col, &mut wt[o * in_dim..(o + 1) * in_dim]);
         }
         Self { wt, w_scales, b: b.to_vec(), in_dim, out_dim }
-    }
-
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// `y = quant(x) · Wᵀ_int8`, rescaled to f32 with the bias added.
@@ -263,11 +258,6 @@ impl QuantizedMlp {
         }
     }
 
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Inference forward pass: `(features, logits)`, mirroring
     /// [`Mlp::forward_inference`].
     pub fn forward_inference(&self, x: &Matrix) -> (Matrix, Matrix) {
@@ -279,19 +269,6 @@ impl QuantizedMlp {
         }
         let logits = self.head.forward(&h);
         (h, logits)
-    }
-
-    /// Softmax confidences for every sample, chunked like
-    /// [`Mlp::predict_proba`].
-    pub fn predict_proba(&self, data: DataRef<'_>) -> Matrix {
-        let mut out = Matrix::zeros(data.len(), self.classes);
-        self.for_each_chunk(data, |start, (_, mut logits)| {
-            softmax_inplace(&mut logits);
-            for r in 0..logits.rows() {
-                out.row_mut(start + r).copy_from_slice(logits.row(r));
-            }
-        });
-        out
     }
 
     /// Confidences and penultimate features in one pass, mirroring
@@ -307,17 +284,6 @@ impl QuantizedMlp {
             }
         });
         (probs, feats)
-    }
-
-    /// Predicted labels `argmax M(x, θ)`, mirroring [`Mlp::predict_labels`].
-    pub fn predict_labels(&self, data: DataRef<'_>) -> Vec<u32> {
-        let mut labels = vec![0u32; data.len()];
-        self.for_each_chunk(data, |start, (_, logits)| {
-            for r in 0..logits.rows() {
-                labels[start + r] = argmax(logits.row(r)) as u32;
-            }
-        });
-        labels
     }
 
     fn for_each_chunk(&self, data: DataRef<'_>, mut f: impl FnMut(usize, (Matrix, Matrix))) {
@@ -345,6 +311,7 @@ impl QuantizedMlp {
 mod tests {
     use super::*;
     use crate::arch::ArchPreset;
+    use crate::model::argmax;
 
     fn toy_data() -> (Vec<f32>, Vec<u32>) {
         let mut xs = Vec::new();
@@ -393,17 +360,15 @@ mod tests {
         let q = QuantizedMlp::from_mlp(&model);
 
         let pf = model.predict_proba(data);
-        let pq = q.predict_proba(data);
+        let (pq, _) = q.proba_and_features(data);
         assert_eq!((pq.rows(), pq.cols()), (pf.rows(), pf.cols()));
         for (a, b) in pf.data().iter().zip(pq.data()) {
             assert!((a - b).abs() < 0.05, "proba drifted: {a} vs {b}");
         }
         // On an untrained model ties are decided by tiny margins; labels
         // still have to agree on the overwhelming majority of rows.
-        let lf = model.predict_labels(data);
-        let lq = q.predict_labels(data);
-        let agree = lf.iter().zip(&lq).filter(|(a, b)| a == b).count();
-        assert!(agree * 10 >= lf.len() * 9, "agreement {agree}/{}", lf.len());
+        let agree = (0..pf.rows()).filter(|&r| argmax(pf.row(r)) == argmax(pq.row(r))).count();
+        assert!(agree * 10 >= pf.rows() * 9, "agreement {agree}/{}", pf.rows());
     }
 
     /// The dispatcher may pick the AVX2 kernel at runtime; whatever it

@@ -4,7 +4,7 @@
 //! arriving dataset (§V-A3); defending (and later improving) that number
 //! requires seeing where time goes *inside* the pipeline, not just two
 //! coarse `setup_secs`/`process_secs` totals. This crate provides the
-//! three pieces every layer reports through:
+//! two pieces every layer reports through:
 //!
 //! * **Spans** ([`span()`], [`SpanGuard`]) — hierarchical, monotonic-clock
 //!   timed regions with key/value fields, emitted on close through
@@ -15,8 +15,9 @@
 //!   gauges, and fixed-bucket histograms with p50/p95/p99 summaries,
 //!   snapshotted as JSON. A process-wide registry lives at
 //!   [`metrics::global`].
-//! * **[`ScopedTimer`]** — a guard that records its lifetime into both a
-//!   histogram and a span.
+//!
+//! A span built with [`SpanBuilder::timed`] also records its lifetime
+//! into a named histogram, so one guard feeds both outputs.
 //!
 //! The crate is deliberately dependency-free (std only): disabled
 //! telemetry costs one relaxed atomic load per span and nothing per
@@ -53,7 +54,6 @@ pub mod profile;
 pub mod prometheus;
 pub mod sink;
 pub mod span;
-pub mod timer;
 pub mod timeseries;
 
 pub use alerts::{default_rules, parse_rules, AlertEngine, AlertRule, AlertTransition, RuleKind};
@@ -68,7 +68,6 @@ pub use span::{
     adopt, current_context, current_span, current_tid, debug_span, span, trace_span, with_parent,
     AdoptGuard, FieldValue, SpanBuilder, SpanGuard, TraceContext,
 };
-pub use timer::ScopedTimer;
 pub use timeseries::{TimeSeriesStore, WindowStats};
 
 /// Removes every installed sink (primarily for tests and benchmarks).

@@ -181,13 +181,20 @@ impl Histogram {
 
     /// Records one observation. Non-finite values are ignored.
     pub fn record(&self, v: f64) {
-        if !v.is_finite() {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value at once — a batch
+    /// reported by its mean keeps the histogram's count and sum equal to
+    /// the per-item totals without `n` trips through the atomics.
+    pub fn record_n(&self, v: f64, n: u64) {
+        if !v.is_finite() || n == 0 {
             return;
         }
         let idx = self.bounds.partition_point(|&b| b < v);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum.update(|s| s + v);
+        self.counts[idx].fetch_add(n, Ordering::Relaxed);
+        self.total.fetch_add(n, Ordering::Relaxed);
+        self.sum.update(|s| s + v * n as f64);
         self.min.update(|m| m.min(v));
         self.max.update(|m| m.max(v));
     }
@@ -508,6 +515,19 @@ mod tests {
         h.record(f64::INFINITY);
         assert_eq!(h.count(), 0);
         assert_eq!(h.summary().p50, 0.0);
+    }
+
+    #[test]
+    fn record_n_matches_n_single_records() {
+        let (batch, single) = (Histogram::new(vec![1.0, 4.0]), Histogram::new(vec![1.0, 4.0]));
+        batch.record_n(2.0, 3);
+        batch.record_n(9.0, 0);
+        for _ in 0..3 {
+            single.record(2.0);
+        }
+        assert_eq!(batch.count(), 3);
+        assert_eq!(batch.bucket_counts(), single.bucket_counts());
+        assert_eq!(batch.summary(), single.summary());
     }
 
     #[test]

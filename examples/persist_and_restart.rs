@@ -1,15 +1,17 @@
-//! Platform restart: persist the trained general model to disk, restart
-//! the process (simulated), restore the model, and keep serving detection
-//! requests without paying the setup cost again.
+//! Platform restart: checkpoint the detector to disk, restart the process
+//! (simulated), resume from the checkpoint, and keep serving detection
+//! requests without paying the setup cost again. The checkpoint carries
+//! the general model together with `P̃`, `H`, `S_c` and the task counters,
+//! so the resumed detector reaches the same verdicts as one that never
+//! stopped.
 //!
 //! ```text
 //! cargo run --release -p enld-examples --bin persist_and_restart
 //! ```
 
-use enld_core::{config::EnldConfig, detector::Enld, metrics::detection_metrics};
+use enld_core::{config::EnldConfig, detector::Enld, metrics::detection_metrics, Checkpoint};
 use enld_datagen::presets::DatasetPreset;
 use enld_lake::lake::{DataLake, LakeConfig};
-use enld_nn::persist::{load_model, save_model};
 
 fn main() {
     let preset = DatasetPreset::test_sim();
@@ -17,39 +19,31 @@ fn main() {
     let mut config = EnldConfig::for_preset(&preset);
     config.iterations = 5;
 
-    // Day 1: expensive setup, then persist θ.
+    // Day 1: expensive setup, serve one arrival, checkpoint.
     let mut enld = Enld::init(lake.inventory(), &config);
-    let model_path = std::env::temp_dir().join("enld_general_model.json");
-    save_model(enld.model(), &model_path).expect("persist the general model");
-    println!(
-        "day 1: setup took {:.2}s; persisted θ ({} parameters) to {}",
-        enld.setup_secs(),
-        enld.model().param_count(),
-        model_path.display()
-    );
     let req = lake.next_request().expect("queued");
     let r = enld.detect(&req.data);
     let m = detection_metrics(&r.noisy, &req.data.noisy_indices(), req.data.len());
     println!("day 1: served arrival #{} with F1 {:.3}", req.dataset_id, m.f1);
-
-    // Day 2: "restart" — reload the persisted model and verify it is
-    // byte-identical in behaviour before serving more traffic.
-    let restored = load_model(&model_path).expect("restore the general model");
-    let probe = lake.peek_requests().next().expect("more arrivals queued");
-    let view = enld_nn::data::DataRef::new(probe.data.xs(), probe.data.labels(), probe.data.dim());
-    assert_eq!(
-        enld.model().predict_proba(view).data(),
-        restored.predict_proba(view).data(),
-        "restored model must reproduce the original's confidences exactly"
+    let ckpt_path = std::env::temp_dir().join("enld_restart.ckpt");
+    enld.capture_checkpoint().save_atomic(&ckpt_path).expect("persist the detector");
+    println!(
+        "day 1: setup took {:.2}s; checkpointed θ ({} parameters), P̃, H and S_c to {}",
+        enld.setup_secs(),
+        enld.model().param_count(),
+        ckpt_path.display()
     );
-    println!("day 2: restored θ reproduces the original model's outputs exactly");
 
-    // The restored model slots into a fresh detector over the same
-    // inventory (re-estimating P̃ is cheap relative to training).
+    // Day 2: "restart" — resume from the checkpoint (no retraining) and
+    // verify the next arrival is judged exactly as the original would.
+    let ckpt = Checkpoint::load(&ckpt_path).expect("read the checkpoint back");
+    let mut resumed = Enld::resume_from(lake.inventory(), &config, &ckpt).expect("resume");
+    assert_eq!(resumed.tasks_completed(), 1);
     let req = lake.next_request().expect("queued");
-    let r = enld.detect(&req.data);
+    let r = resumed.detect(&req.data);
+    assert_eq!(r.noisy, enld.detect(&req.data).noisy, "a resumed detector replays the original");
     let m = detection_metrics(&r.noisy, &req.data.noisy_indices(), req.data.len());
-    println!("day 2: served arrival #{} with F1 {:.3}", req.dataset_id, m.f1);
+    println!("day 2: resumed detector served arrival #{} with F1 {:.3}", req.dataset_id, m.f1);
 
-    let _ = std::fs::remove_file(&model_path);
+    let _ = std::fs::remove_file(&ckpt_path);
 }

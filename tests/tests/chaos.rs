@@ -343,46 +343,6 @@ fn a_crash_inside_update_model_resumes_and_replays_the_update() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The int8 scan snapshot is derived state: it is packed fresh from the
-/// f32 model at scan time and never reaches a checkpoint. Two faults at
-/// the `nn.quant.pack` site pin that down. A *crash* mid-pack resumes
-/// from the surviving checkpoint and reproduces the uninterrupted
-/// `--quantized` run byte-identically. An injected *error* is not fatal
-/// at all: every scan falls back to the f32 path in-process, so the run
-/// is exactly the unquantized run.
-#[test]
-fn quantization_killpoint_falls_back_to_f32_and_resumes_uncorrupted() {
-    let _guard = enld_chaos::scenario();
-    let dir = tmp_dir("quant");
-    let mut cfg = EnldConfig::fast_test();
-    cfg.quantized = true;
-
-    // Crash mid-pack. Task 0's warm-up packs 4 snapshots (initial scan,
-    // round-0 selection, two eval passes) before the post-warm-up
-    // checkpoint, so pack #5 — iteration 0, step 0 — is the first one
-    // whose crash leaves a checkpoint for the resume to load.
-    let (expect, expect_ledger) = uninterrupted(&cfg, &dir, "quant-base");
-    let (got, got_ledger) =
-        crashed_then_resumed(&cfg, "nn.quant.pack=panic@nth:5", &dir, "quant-crash");
-    assert_eq!(got.len(), TASKS, "a mid-pack crash re-serves every arrival");
-    assert_eq!(got, expect, "reports diverge after a mid-pack crash");
-    assert_eq!(got_ledger, expect_ledger, "ledger diverges after a mid-pack crash");
-    let ckpt = Checkpoint::load(&dir.join("quant-crash.ckpt")).expect("checkpoint still loads");
-    assert!(ckpt.in_flight.is_none(), "both tasks completed after the resume");
-
-    // Error at the same site: the scan falls back to f32 instead of
-    // aborting, and the checkpointed state was never quantized to begin
-    // with — the whole run must equal the plain-f32 one.
-    let mut f32_cfg = cfg.clone();
-    f32_cfg.quantized = false;
-    let (f32_reports, _) = uninterrupted(&f32_cfg, &dir, "quant-f32");
-    enld_chaos::arm_from_spec("nn.quant.pack=error").expect("valid failpoint spec");
-    let (fallback, _) = uninterrupted(&cfg, &dir, "quant-fallback");
-    enld_chaos::disarm_all();
-    assert_eq!(fallback, f32_reports, "the fallback run must be exactly the f32 run");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A worker that dies *outside* the per-job guard (mid-pickup) loses exactly
 /// the job it had dequeued, and `shutdown` attributes the loss: every
 /// submitted job is either drained or accounted to a dead worker.

@@ -227,7 +227,6 @@ fn noise_zoo_models_are_bit_identical_across_thread_counts() {
     // never from pool scheduling — corruption at any stream position must
     // be byte-identical whatever the thread count.
     use enld_datagen::zoo::NoiseSpec;
-    use enld_datagen::NoiseModel;
     let clean = DatasetPreset::test_sim().scaled(0.5).generate(33);
     for spec in NoiseSpec::ALL {
         let model = spec.build(clean.classes(), 0.3, 99);

@@ -4,7 +4,9 @@
 //! one detection job reads as one connected trace. Also pins the
 //! ledger↔trace join: the `TaskRecord` written by the detector carries
 //! the ids of the `enld.detect` span that produced it, including after a
-//! crash/checkpoint/resume cycle.
+//! crash/checkpoint/resume cycle. Finally the telescoping check: the
+//! direct children of one `enld.detect` span are its phases, and they
+//! account for (almost) all of its wall-clock.
 //!
 //! Sinks are process-global, so every test takes `REGISTRY_LOCK` and
 //! resets the registry on both sides of its capture window.
@@ -19,7 +21,7 @@ use enld_core::ledger::{LedgerRecord, MemoryLedger};
 use enld_datagen::presets::DatasetPreset;
 use enld_lake::lake::{DataLake, LakeConfig};
 use enld_serve::{JobOutcome, JobSpec, PoolConfig, WorkerPool};
-use enld_telemetry::{Event, Level, Sink, SpanRecord};
+use enld_telemetry::{profile, Event, Level, OwnedSpan, Sink, SpanRecord};
 
 /// One captured span: just the linkage fields the assertions need.
 #[derive(Debug, Clone)]
@@ -193,6 +195,88 @@ fn ledger_task_ids_join_to_the_detect_span_across_checkpoint_resume() {
         .expect("TaskRecord.span_id resolves to a recorded enld.detect span");
     assert_eq!(detect.trace, task.trace_id);
     assert_eq!(detect.trace, detect.id, "enld.detect roots its own trace");
+}
+
+/// Keeps whole spans, at `Debug`: the phase spans are emitted, the
+/// per-step and pool-task `Trace` spans are not.
+struct PhaseSink {
+    spans: Mutex<Vec<OwnedSpan>>,
+}
+
+impl Sink for PhaseSink {
+    fn level(&self) -> Level {
+        Level::Debug
+    }
+
+    fn on_event(&self, _event: &Event) {}
+
+    fn on_span(&self, span: &SpanRecord) {
+        self.spans.lock().unwrap().push(OwnedSpan::from(span));
+    }
+}
+
+#[test]
+fn detect_phases_are_the_direct_children_of_its_span_and_cover_it() {
+    const ARRIVALS: usize = 4;
+    let guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Full-size `test-sim`: the phases must dwarf the fixed per-arrival
+    // bookkeeping for the coverage bound below to be about design, not
+    // about microsecond jitter.
+    let preset = DatasetPreset::test_sim();
+    let mut lake = DataLake::build(&LakeConfig { preset, noise_rate: 0.2, seed: 105 });
+    let mut enld = Enld::init(lake.inventory(), &EnldConfig::fast_test());
+    enld_telemetry::reset();
+    let sink = Arc::new(PhaseSink { spans: Mutex::new(Vec::new()) });
+    enld_telemetry::install(Arc::clone(&sink) as Arc<dyn Sink>);
+    for _ in 0..ARRIVALS {
+        let req = lake.next_request().expect("queued");
+        let _ = enld.detect(&req.data);
+    }
+    enld_telemetry::reset();
+    drop(guard);
+    let spans = sink.spans.lock().unwrap().clone();
+
+    let roots: Vec<&OwnedSpan> = spans.iter().filter(|s| s.name == "enld.detect").collect();
+    assert_eq!(roots.len(), ARRIVALS);
+    let mut best_uncovered = f64::INFINITY;
+    for root in roots {
+        let trace: Vec<OwnedSpan> = spans.iter().filter(|s| s.trace == root.id).cloned().collect();
+        let mut phases: Vec<&str> =
+            trace.iter().filter(|s| s.parent == Some(root.id)).map(|s| s.name.as_str()).collect();
+        phases.sort_unstable();
+        phases.dedup();
+        // No ledger and no checkpoint file are attached, so their two
+        // phases (`enld.detect.ledger`, `enld.checkpoint.persist`) do not
+        // run.
+        assert_eq!(
+            phases,
+            [
+                "enld.detect.ambiguous_select",
+                "enld.detect.contrastive",
+                "enld.detect.drift",
+                "enld.detect.iteration",
+                "enld.detect.warmup",
+            ]
+        );
+        let iterations = trace.iter().filter(|s| s.name == "enld.detect.iteration").count();
+        assert_eq!(iterations, EnldConfig::fast_test().iterations);
+
+        // Self time = duration minus the direct children: what no phase
+        // owns.
+        let site = profile::aggregate_sites(&trace)
+            .into_iter()
+            .find(|s| s.name == "enld.detect")
+            .expect("site aggregated");
+        assert_eq!(site.total_us, root.dur_us);
+        best_uncovered = best_uncovered.min(site.self_us as f64 / site.total_us as f64);
+    }
+    // Scheduling noise can only inflate an arrival's unattributed share,
+    // so the quietest of the arrivals is the one that measures the design.
+    assert!(
+        best_uncovered <= 0.05,
+        "phases leave {:.1}% of the quietest arrival unattributed — more than 5%",
+        best_uncovered * 100.0
+    );
 }
 
 fn build_lake() -> DataLake {
