@@ -30,8 +30,9 @@ const MAGIC: [u8; 8] = *b"ENLDANNX";
 const FORMAT_VERSION: u32 = 1;
 
 /// Queries per parallel task in [`AnnClassIndex::k_nearest_in_class_batch`]
-/// (same chunking as the exact backend).
-const QUERY_BATCH: usize = 16;
+/// (same chunking as the exact backend: a preset-scale selection round is
+/// one chunk, so it runs as a plain loop).
+const QUERY_BATCH: usize = 1024;
 
 /// Self-queries sampled by [`AnnClassIndex::recall_probe`].
 const PROBE_QUERIES: usize = 16;
@@ -386,8 +387,10 @@ mod tests {
     fn batch_matches_single_queries_at_any_thread_count() {
         let (features, labels, keep) = random_instance(240, 8, 4, 2);
         let ann = AnnClassIndex::build(&features, 8, &labels, &keep, AnnParams::default());
-        let q_labels = random_labels(40, 5, 3);
-        let queries = random_points(40, 8, 33);
+        // More queries than one QUERY_BATCH, so threads really share them.
+        let n_queries = QUERY_BATCH + 40;
+        let q_labels = random_labels(n_queries, 5, 3);
+        let queries = random_points(n_queries, 8, 33);
         let want: Vec<Vec<Neighbor>> = q_labels
             .iter()
             .enumerate()

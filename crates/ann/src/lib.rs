@@ -41,6 +41,8 @@
 //! assert_eq!(index.class_len(0), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod codec;
 
 pub mod class_index;

@@ -31,6 +31,8 @@
 //! assert_eq!(report.clean.len() + report.noisy.len(), req.data.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod confident;
 pub mod default_detector;

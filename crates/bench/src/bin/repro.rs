@@ -18,8 +18,11 @@
 //! `--metrics-interval SECS` additionally rewrites that snapshot
 //! atomically (tmp + rename) on a fixed cadence while the run is live.
 //!
-//! `--threads N` sizes the data-parallel pool (default: `ENLD_THREADS` or
-//! all cores; `1` = sequential). Results are bit-identical either way.
+//! `--threads N` sets the data-parallel thread budget (default:
+//! `ENLD_THREADS` or all cores; `1` = sequential). Results are
+//! bit-identical either way.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -20,6 +20,8 @@
 //! wins, by roughly what factor, and where the crossovers fall. See
 //! DESIGN.md §2 and EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod grid;
 pub mod rows;

@@ -29,6 +29,8 @@
 //! e.g. `ENLD_FAILPOINTS="detector.step=panic@nth:3;ledger.record=error@every:2"`.
 //! Call [`init_from_env`] once at process start (the `enld` CLI does).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};

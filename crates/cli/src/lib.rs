@@ -18,6 +18,8 @@
 //! pool: N detector clones drain a policy-scheduled queue with admission
 //! control, and the verdicts come back in arrival order.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1,5 +1,7 @@
 //! `enld` — command-line front end. See the crate docs for usage.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -34,7 +36,7 @@ every command also accepts:
   [--log-level quiet|error|warn|info|debug|trace] [--trace-out FILE] [--metrics-out FILE]
   [--metrics-interval SECS] [--threads N]
 
---threads N sizes the data-parallel worker pool (default: ENLD_THREADS or all
+--threads N sets the data-parallel thread budget (default: ENLD_THREADS or all
 cores; 1 = sequential). results are bit-identical for every thread count
 
 the --obs-addr endpoint serves /metrics (Prometheus), /metrics.json, /healthz,
@@ -232,8 +234,8 @@ fn run() -> Result<(), String> {
     if armed > 0 {
         eprintln!("chaos: {armed} failpoint(s) armed from ENLD_FAILPOINTS");
     }
-    // Size the pool before any parallel work; the global pool is
-    // lazily initialised on first use and cannot be resized afterwards.
+    // Fix the thread budget before any parallel work: it is read once,
+    // on first use, and cannot be resized afterwards.
     if let Some(threads) = args.parse_num::<usize>("threads")? {
         enld_par::set_threads(threads).map_err(|e| format!("--threads: {e}"))?;
     }

@@ -399,10 +399,10 @@ impl Enld {
         if i_prime.is_empty() {
             return Vec::new();
         }
-        let (_, mut probs) = theta.forward_inference(&ctx.ic_view.gather(i_prime));
-        enld_nn::loss::softmax_inplace(&mut probs);
+        let rows = ctx.ic_view.gather(i_prime);
+        let labels = ctx.ic_view.gather_labels(i_prime);
+        let probs = theta.predict_proba(DataRef::new(rows.data(), &labels, rows.cols()));
         let preds = row_argmax(&probs);
-        let labels: Vec<u32> = i_prime.iter().map(|&i| self.i_c.labels()[i]).collect();
         let h_now: Vec<usize> = high_quality_filtered(&probs, &preds, &labels)
             .into_iter()
             .map(|r| i_prime[r])

@@ -160,8 +160,9 @@ impl Enld {
             AnnClassIndex::new(self.model.config().width, params)
         } else {
             let ic_view = DataRef::new(self.i_c.xs(), self.i_c.labels(), self.i_c.dim());
-            let (feats, _) = self.model.forward_inference(&ic_view.gather(&self.hq));
-            let labels: Vec<u32> = self.hq.iter().map(|&i| self.i_c.labels()[i]).collect();
+            let rows = ic_view.gather(&self.hq);
+            let labels = ic_view.gather_labels(&self.hq);
+            let feats = self.model.features(DataRef::new(rows.data(), &labels, rows.cols()));
             AnnClassIndex::build(feats.data(), feats.cols(), &labels, &self.hq, params)
         };
         index.recall_probe(self.config.k.max(2));

@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 use enld_ann::AnnClassIndex;
 use enld_knn::class_index::ClassIndex;
 use enld_knn::{IndexBackend, NeighborIndex};
+use enld_nn::data::DataRef;
 use enld_nn::matrix::Matrix;
 use enld_nn::model::Mlp;
 use enld_telemetry as telemetry;
@@ -66,8 +67,10 @@ impl Enld {
                     (ann, ann.classes().filter(|&c| ctx.label_counts[c as usize] > 0).collect())
                 }
                 _ => {
-                    let (hq_feats, _) = theta.forward_inference(&ctx.ic_view.gather(hq_candidates));
-                    let hq_labels: Vec<u32> = hq_candidates.iter().map(|&i| ic_labels[i]).collect();
+                    let rows = ctx.ic_view.gather(hq_candidates);
+                    let hq_labels = ctx.ic_view.gather_labels(hq_candidates);
+                    let hq_feats =
+                        theta.features(DataRef::new(rows.data(), &hq_labels, rows.cols()));
                     let (data, dim) = (hq_feats.data(), hq_feats.cols());
                     fresh = match cfg.index {
                         IndexBackend::Exact => {

@@ -36,6 +36,8 @@
 //! assert!(m.f1 >= 0.0 && m.f1 <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod checkpoint;
 pub mod config;

@@ -33,6 +33,8 @@
 //! assert!(inventory.len() > incremental.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod gauss;
 pub mod manifold;

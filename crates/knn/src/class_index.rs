@@ -42,14 +42,11 @@ impl ClassIndex {
             entry.0.extend_from_slice(&features[row * dim..(row + 1) * dim]);
             entry.1.push(global);
         }
-        // Per-class builds are independent; build the trees in parallel and
-        // reassemble in the BTreeMap's (sorted, deterministic) class order.
-        let classes: Vec<(u32, ClassBucket)> = grouped.into_iter().collect();
-        let built = enld_par::par_map(classes.len(), 1, |c| KdTree::build(&classes[c].1 .0, dim));
-        let trees = classes
+        // A per-class tree over a round's candidates builds in microseconds:
+        // cheaper than a dispatch, so a plain loop.
+        let trees = grouped
             .into_iter()
-            .zip(built)
-            .map(|((label, (_, globals)), tree)| (label, (tree, globals)))
+            .map(|(label, (rows, globals))| (label, (KdTree::build(&rows, dim), globals)))
             .collect();
         Self { trees, dim }
     }
@@ -134,8 +131,10 @@ impl NeighborIndex for ClassIndex {
     }
 }
 
-/// Queries per parallel task in [`ClassIndex::k_nearest_in_class_batch`].
-const QUERY_BATCH: usize = 16;
+/// Queries per parallel task in [`ClassIndex::k_nearest_in_class_batch`]:
+/// a query is a few microseconds, so a selection round at preset scale
+/// (a few hundred ambiguous samples) stays one chunk — a plain loop.
+const QUERY_BATCH: usize = 1024;
 
 #[cfg(test)]
 mod tests {
@@ -184,9 +183,10 @@ mod tests {
     #[test]
     fn batch_queries_match_single_queries() {
         let idx = sample_index();
-        // Mix of present and absent classes, in arbitrary order.
-        let labels = vec![0u32, 1, 0, 7];
-        let queries = vec![0.0f32, 0.0, 0.0, 0.0, 10.0, 10.0, 1.0, 1.0];
+        // Mix of present and absent classes, in arbitrary order, repeated
+        // past one QUERY_BATCH so several threads really share the batch.
+        let labels = [0u32, 1, 0, 7].repeat(QUERY_BATCH / 2);
+        let queries = [0.0f32, 0.0, 0.0, 0.0, 10.0, 10.0, 1.0, 1.0].repeat(QUERY_BATCH / 2);
         for threads in [1, 4] {
             let batch = enld_par::with_threads(threads, || {
                 idx.k_nearest_in_class_batch(&labels, &queries, 2)

@@ -27,6 +27,8 @@
 //! assert_eq!(hits[1].index, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod brute;
 pub mod class_index;
 pub mod graph;

@@ -26,6 +26,8 @@
 //! assert_eq!(lake.pending_requests(), preset.incremental.subsets);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod lake;
 pub mod queueing;

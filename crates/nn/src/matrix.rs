@@ -14,19 +14,11 @@
 //! naive triple loop's order. Tile and panel boundaries only change
 //! *which registers* hold an accumulator, never the order terms are
 //! added, so results are bit-identical to the scalar reference for all
-//! finite inputs, for every tile size, and for every `ENLD_THREADS`
-//! setting (parallel tasks own disjoint output row blocks whose
-//! boundaries derive from the shape alone).
+//! finite inputs and for every tile size. The products are sequential
+//! leaf kernels: callers that want threads split *rows* above them
+//! (`model::for_each_chunk`), which the contract makes invisible in the bits.
 
 use std::fmt;
-
-/// Products below this many multiply-adds run as a single (inline) block;
-/// above it, output rows are split into [`PAR_ROW_BLOCK`]-row tasks.
-const PAR_MIN_FLOPS: usize = 64 * 1024;
-
-/// Output rows per parallel task. Fixed (never derived from the thread
-/// count) so chunk boundaries — and therefore results — are deterministic.
-const PAR_ROW_BLOCK: usize = 16;
 
 /// Register-tile height: output rows accumulated per microkernel call.
 const MR: usize = 4;
@@ -34,14 +26,6 @@ const MR: usize = 4;
 /// Register-tile width: output columns per packed panel. `MR * NR`
 /// accumulators fit the SSE/AVX register file without spilling.
 const NR: usize = 16;
-
-fn row_block(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_FLOPS {
-        m.max(1)
-    } else {
-        PAR_ROW_BLOCK
-    }
-}
 
 /// Packs `b` (k×n, row-major) into `⌈n/NR⌉` column panels. Panel `p`
 /// stores `b[kk][p*NR + c]` at `p*k*NR + kk*NR + c`, zero-padded past
@@ -106,8 +90,8 @@ fn microkernel(a: &[f32], mr: usize, panel: &[f32], out: &mut [f32], out_stride:
 
 /// Multiplies `rows` rows of `a` (row-major, stride `k`, starting at
 /// `a[0]`) against pre-packed panels of the k×n right operand, writing
-/// the `rows`×`n` result into `chunk`.
-fn gemm_packed(a: &[f32], rows: usize, k: usize, packed: &[f32], n: usize, chunk: &mut [f32]) {
+/// the `rows`×`n` result into `out`.
+fn gemm_packed(a: &[f32], rows: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
     let np = n.div_ceil(NR);
     let mut ri = 0;
     while ri < rows {
@@ -117,7 +101,7 @@ fn gemm_packed(a: &[f32], rows: usize, k: usize, packed: &[f32], n: usize, chunk
             let j0 = p * NR;
             let jw = NR.min(n - j0);
             let panel = &packed[p * k * NR..(p + 1) * k * NR];
-            microkernel(a_tile, mr, panel, &mut chunk[ri * n + j0..], n, jw);
+            microkernel(a_tile, mr, panel, &mut out[ri * n + j0..], n, jw);
         }
         ri += mr;
     }
@@ -191,12 +175,7 @@ impl Matrix {
         let k = self.cols;
         let packed = pack_row_panels(other);
         let mut out = Matrix::zeros(m, n);
-        let block = row_block(m, k, n);
-        enld_par::par_chunks_mut(&mut out.data, block * n, |_, offset, chunk| {
-            let i0 = offset / n;
-            let rows_here = chunk.len() / n;
-            gemm_packed(&self.data[i0 * k..], rows_here, k, &packed, n, chunk);
-        });
+        gemm_packed(&self.data, m, k, &packed, n, &mut out.data);
         out
     }
 
@@ -207,35 +186,21 @@ impl Matrix {
         let (k, m, n) = (self.rows, self.cols, other.cols);
         let packed = pack_row_panels(other);
         let mut out = Matrix::zeros(m, n);
-        // Parallelism is over output row blocks, NOT over kk: every output
-        // element keeps the sequential kk-ascending accumulation order, so
-        // no floating-point merge of partial sums is ever needed.
-        let block = row_block(m, k, n);
-        enld_par::par_chunks_mut(&mut out.data, block * n, |_, offset, chunk| {
-            let i0 = offset / n;
-            let rows_here = chunk.len() / n;
-            // Gather the MR-row Aᵀ tile into contiguous scratch so the
-            // microkernel reads both operands at unit stride.
-            let mut tile = vec![0.0f32; MR * k];
-            let mut ri = 0;
-            while ri < rows_here {
-                let mr = MR.min(rows_here - ri);
-                for kk in 0..k {
-                    let src = &self.data[kk * m + i0 + ri..kk * m + i0 + ri + mr];
-                    for (r, &v) in src.iter().enumerate() {
-                        tile[r * k + kk] = v;
-                    }
+        // Gather the MR-row Aᵀ tile into contiguous scratch so the
+        // microkernel reads both operands at unit stride.
+        let mut tile = vec![0.0f32; MR * k];
+        let mut ri = 0;
+        while ri < m {
+            let mr = MR.min(m - ri);
+            for kk in 0..k {
+                let src = &self.data[kk * m + ri..kk * m + ri + mr];
+                for (r, &v) in src.iter().enumerate() {
+                    tile[r * k + kk] = v;
                 }
-                let np = n.div_ceil(NR);
-                for p in 0..np {
-                    let j0 = p * NR;
-                    let jw = NR.min(n - j0);
-                    let panel = &packed[p * k * NR..(p + 1) * k * NR];
-                    microkernel(&tile, mr, panel, &mut chunk[ri * n + j0..], n, jw);
-                }
-                ri += mr;
             }
-        });
+            gemm_packed(&tile, mr, k, &packed, n, &mut out.data[ri * n..]);
+            ri += mr;
+        }
         out
     }
 
@@ -246,12 +211,7 @@ impl Matrix {
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let packed = pack_col_panels(other);
         let mut out = Matrix::zeros(m, n);
-        let block = row_block(m, k, n);
-        enld_par::par_chunks_mut(&mut out.data, block * n, |_, offset, chunk| {
-            let i0 = offset / n;
-            let rows_here = chunk.len() / n;
-            gemm_packed(&self.data[i0 * k..], rows_here, k, &packed, n, chunk);
-        });
+        gemm_packed(&self.data, m, k, &packed, n, &mut out.data);
         out
     }
 
@@ -430,7 +390,7 @@ mod tests {
     #[test]
     fn packed_kernels_match_the_naive_reference_bitwise() {
         // Ragged shapes: tiles narrower than MR/NR, prime dims, K smaller
-        // than a panel row, and shapes that clear PAR_MIN_FLOPS.
+        // than a panel row, and one spanning many tiles and panels.
         for &(mm, kk, nn) in
             &[(1, 1, 1), (3, 5, 7), (17, 13, 31), (4, 2, 16), (5, 1, 33), (96, 64, 80)]
         {
@@ -441,26 +401,6 @@ mod tests {
                 a.matmul_naive(&b).data(),
                 "matmul {mm}x{kk}x{nn} diverged from reference"
             );
-        }
-    }
-
-    #[test]
-    fn matmuls_are_bit_identical_across_thread_counts() {
-        // Big enough to clear PAR_MIN_FLOPS so the parallel path is real.
-        let a =
-            Matrix::from_vec(96, 64, (0..96 * 64).map(|i| ((i * 7) % 23) as f32 * 0.1).collect());
-        let b =
-            Matrix::from_vec(64, 80, (0..64 * 80).map(|i| ((i * 5) % 19) as f32 * 0.2).collect());
-        let c =
-            Matrix::from_vec(96, 64, (0..96 * 64).map(|i| ((i * 3) % 17) as f32 * 0.3).collect());
-        let base = enld_par::with_threads(1, || (a.matmul(&b), a.matmul_at(&c), c.matmul_bt(&a)));
-        for threads in [2, 8] {
-            let par = enld_par::with_threads(threads, || {
-                (a.matmul(&b), a.matmul_at(&c), c.matmul_bt(&a))
-            });
-            assert_eq!(par.0.data(), base.0.data(), "matmul threads={threads}");
-            assert_eq!(par.1.data(), base.1.data(), "matmul_at threads={threads}");
-            assert_eq!(par.2.data(), base.2.data(), "matmul_bt threads={threads}");
         }
     }
 }

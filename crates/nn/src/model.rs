@@ -14,9 +14,8 @@ use crate::loss::softmax_inplace;
 use crate::matrix::Matrix;
 use crate::optimizer::SgdConfig;
 
-/// Batch size used for chunked inference over whole datasets (shared
-/// with the quantized path so both produce identical chunk boundaries).
-pub(crate) const INFERENCE_BATCH: usize = 256;
+/// Batch size used for chunked inference over whole datasets.
+const INFERENCE_BATCH: usize = 256;
 
 /// One pre-activation two-layer block with a residual skip and an optional
 /// global skip from the embedding (dense connectivity).
@@ -383,25 +382,30 @@ impl Mlp {
         (&self.embed, blocks, &self.head)
     }
 
-    fn for_each_chunk(&self, data: DataRef<'_>, mut f: impl FnMut(usize, (Matrix, Matrix))) {
-        let n = data.len();
-        if n == 0 {
-            return;
-        }
-        // Chunk boundaries depend only on `n`, so each chunk's forward pass
-        // is the same computation at every thread count; the (mutating)
-        // consumer is then applied sequentially in chunk order.
-        let n_chunks = n.div_ceil(INFERENCE_BATCH);
-        let results = enld_par::par_map(n_chunks, 1, |ci| {
-            let start = ci * INFERENCE_BATCH;
-            let end = (start + INFERENCE_BATCH).min(n);
-            let indices: Vec<usize> = (start..end).collect();
-            let batch = data.gather(&indices);
-            self.forward_inference(&batch)
-        });
-        for (ci, result) in results.into_iter().enumerate() {
-            f(ci * INFERENCE_BATCH, result);
-        }
+    fn for_each_chunk(&self, data: DataRef<'_>, f: impl FnMut(usize, (Matrix, Matrix))) {
+        for_each_chunk(data, |batch| self.forward_inference(batch), f);
+    }
+}
+
+/// The one place inference is split: runs `forward` (a model's
+/// `forward_inference`) over `INFERENCE_BATCH`-row chunks of `data` in
+/// parallel, then hands each `(features, logits)` pair and the index of
+/// its first row to `f` sequentially, in chunk order. Chunk boundaries depend only on
+/// `data.len()` and rows are independent, so the result is the whole-batch
+/// forward pass bit for bit at every thread count.
+pub(crate) fn for_each_chunk(
+    data: DataRef<'_>,
+    forward: impl Fn(&Matrix) -> (Matrix, Matrix) + Sync,
+    mut f: impl FnMut(usize, (Matrix, Matrix)),
+) {
+    let n = data.len();
+    let results = enld_par::par_map(n.div_ceil(INFERENCE_BATCH), 1, |ci| {
+        let start = ci * INFERENCE_BATCH;
+        let indices: Vec<usize> = (start..(start + INFERENCE_BATCH).min(n)).collect();
+        forward(&data.gather(&indices))
+    });
+    for (ci, result) in results.into_iter().enumerate() {
+        f(ci * INFERENCE_BATCH, result);
     }
 }
 
@@ -543,6 +547,27 @@ mod tests {
         let (p2, f2) = model.proba_and_features(data);
         assert_eq!(p2.data(), probs.data());
         assert_eq!(f2.data(), feats.data());
+    }
+
+    #[test]
+    fn chunked_inference_matches_one_batch_at_every_thread_count() {
+        // Two full chunks and a ragged third, so `for_each_chunk` really
+        // splits: rows are independent, so neither the split nor the
+        // thread count may move a bit.
+        let cfg = ArchPreset::resnet110_sim().config(4, 3);
+        let model = Mlp::new(&cfg, 8);
+        let n = 2 * INFERENCE_BATCH + 37;
+        let xs: Vec<f32> = (0..n * 4).map(|i| ((i * 7) % 23) as f32 * 0.1 - 1.0).collect();
+        let labels = vec![0u32; n];
+        let data = DataRef::new(&xs, &labels, 4);
+        let all: Vec<usize> = (0..n).collect();
+        let (want_feats, mut want_probs) = model.forward_inference(&data.gather(&all));
+        softmax_inplace(&mut want_probs);
+        for threads in [1, 2, 8] {
+            let (probs, feats) = enld_par::with_threads(threads, || model.proba_and_features(data));
+            assert_eq!(probs.data(), want_probs.data(), "probs threads={threads}");
+            assert_eq!(feats.data(), want_feats.data(), "feats threads={threads}");
+        }
     }
 
     #[test]

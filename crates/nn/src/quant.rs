@@ -24,7 +24,7 @@ use crate::data::DataRef;
 use crate::dense::Dense;
 use crate::loss::softmax_inplace;
 use crate::matrix::Matrix;
-use crate::model::{Mlp, INFERENCE_BATCH};
+use crate::model::{for_each_chunk, Mlp};
 
 /// Quantizes `values` symmetrically to i8 with an absmax scale.
 /// Returns the scale; an all-zero input gets scale 0 and all-zero codes.
@@ -276,34 +276,18 @@ impl QuantizedMlp {
     pub fn proba_and_features(&self, data: DataRef<'_>) -> (Matrix, Matrix) {
         let mut probs = Matrix::zeros(data.len(), self.classes);
         let mut feats = Matrix::zeros(data.len(), self.width);
-        self.for_each_chunk(data, |start, (f, mut logits)| {
-            softmax_inplace(&mut logits);
-            for r in 0..logits.rows() {
-                probs.row_mut(start + r).copy_from_slice(logits.row(r));
-                feats.row_mut(start + r).copy_from_slice(f.row(r));
-            }
-        });
+        for_each_chunk(
+            data,
+            |x| self.forward_inference(x),
+            |start, (f, mut logits)| {
+                softmax_inplace(&mut logits);
+                for r in 0..logits.rows() {
+                    probs.row_mut(start + r).copy_from_slice(logits.row(r));
+                    feats.row_mut(start + r).copy_from_slice(f.row(r));
+                }
+            },
+        );
         (probs, feats)
-    }
-
-    fn for_each_chunk(&self, data: DataRef<'_>, mut f: impl FnMut(usize, (Matrix, Matrix))) {
-        let n = data.len();
-        if n == 0 {
-            return;
-        }
-        // Same shape-derived chunk boundaries as the f32 model, so the
-        // quantized path inherits its thread-count invariance.
-        let n_chunks = n.div_ceil(INFERENCE_BATCH);
-        let results = enld_par::par_map(n_chunks, 1, |ci| {
-            let start = ci * INFERENCE_BATCH;
-            let end = (start + INFERENCE_BATCH).min(n);
-            let indices: Vec<usize> = (start..end).collect();
-            let batch = data.gather(&indices);
-            self.forward_inference(&batch)
-        });
-        for (ci, result) in results.into_iter().enumerate() {
-            f(ci * INFERENCE_BATCH, result);
-        }
     }
 }
 

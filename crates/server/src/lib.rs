@@ -40,6 +40,8 @@
 //! assert_eq!(outcomes.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod estimator;
 pub mod job;

@@ -40,6 +40,8 @@
 //! telemetry::reset(); // tests/doc-tests: drop installed sinks again
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alerts;
 pub mod bootstrap;
 pub mod changepoint;
@@ -65,8 +67,8 @@ pub use level::Level;
 pub use monitor::Monitor;
 pub use sink::{enabled, flush, install, Event, JsonlSink, Sink, SpanRecord, StderrSink};
 pub use span::{
-    adopt, current_context, current_span, current_tid, debug_span, span, trace_span, with_parent,
-    AdoptGuard, FieldValue, SpanBuilder, SpanGuard, TraceContext,
+    current_context, current_span, current_tid, debug_span, span, trace_span, FieldValue,
+    SpanBuilder, SpanGuard, TraceContext,
 };
 pub use timeseries::{TimeSeriesStore, WindowStats};
 

@@ -9,15 +9,15 @@
 //!
 //! Work that hops threads stays causally connected through a
 //! [`TraceContext`]: capture it on the submitting thread with
-//! [`current_context`], then either enter the remote span with
-//! [`SpanBuilder::follows`] or run a closure under the captured parent
-//! with [`with_parent`]. Every span carries the `trace_id` of its root
+//! [`current_context`], then enter the remote span with
+//! [`SpanBuilder::follows`]. Every span carries the `trace_id` of its root
 //! (a root span's trace id is its own id), so one detection job remains
-//! one connected tree no matter how many pool workers run pieces of it.
+//! one connected tree no matter how many threads run pieces of it.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::level::Level;
@@ -114,9 +114,27 @@ impl From<String> for FieldValue {
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+/// Thread ids whose threads have exited; handed out again lowest first.
+static FREE_TIDS: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
 
-/// One live frame on a thread's span stack: either a span entered on this
-/// thread or a parent adopted from another thread via [`with_parent`].
+fn free_tids() -> MutexGuard<'static, BTreeSet<u64>> {
+    // Every update is a single insert or pop, so the set is always valid.
+    FREE_TIDS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's id; 0 until [`current_tid`] first asks. Returned to the free
+/// list when the thread exits.
+struct TidSlot(Cell<u64>);
+
+impl Drop for TidSlot {
+    fn drop(&mut self) {
+        if self.0.get() != 0 {
+            free_tids().insert(self.0.get());
+        }
+    }
+}
+
+/// One live frame on a thread's span stack.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     span_id: u64,
@@ -125,7 +143,7 @@ struct Frame {
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    static TID: Cell<u64> = const { Cell::new(0) };
+    static TID: TidSlot = const { TidSlot(Cell::new(0)) };
 }
 
 /// Microseconds since the process-wide telemetry epoch (first use).
@@ -134,18 +152,18 @@ pub(crate) fn micros_now() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
-/// Small dense id for the calling thread (1, 2, … in first-use order).
-/// Stable for the thread's lifetime; used to lay spans out per thread in
-/// trace exports without leaking OS thread ids.
+/// Small dense id for the calling thread: the lowest id no live thread
+/// holds (1, 2, … in first-use order; a thread's id is handed on after it
+/// exits). Stable for the thread's lifetime; used to lay spans out per
+/// thread in trace exports without leaking OS thread ids, so short-lived
+/// helper threads share a few lanes instead of opening one per spawn.
 pub fn current_tid() -> u64 {
-    TID.with(|t| {
-        let v = t.get();
-        if v != 0 {
-            return v;
+    TID.with(|slot| {
+        if slot.0.get() == 0 {
+            let reused = free_tids().pop_first();
+            slot.0.set(reused.unwrap_or_else(|| NEXT_TID.fetch_add(1, Ordering::Relaxed)));
         }
-        let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        t.set(v);
-        v
+        slot.0.get()
     })
 }
 
@@ -157,7 +175,7 @@ pub fn current_span() -> Option<u64> {
 /// Causal handle linking work scheduled on another thread back to the
 /// span that submitted it. Capture with [`current_context`] on the
 /// submitting thread; adopt on the running thread with
-/// [`SpanBuilder::follows`] or [`with_parent`].
+/// [`SpanBuilder::follows`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Id of the root span of the enclosing trace.
@@ -171,43 +189,6 @@ pub fn current_context() -> Option<TraceContext> {
     SPAN_STACK.with(|s| {
         s.borrow().last().map(|f| TraceContext { trace_id: f.trace_id, parent_span_id: f.span_id })
     })
-}
-
-/// Guard returned by [`adopt`]; pops the adopted frame on drop.
-#[derive(Debug)]
-pub struct AdoptGuard {
-    span_id: Option<u64>,
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        let Some(id) = self.span_id.take() else { return };
-        SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|f| f.span_id == id) {
-                stack.remove(pos);
-            }
-        });
-    }
-}
-
-/// Pushes `ctx` as the innermost parent frame on this thread until the
-/// returned guard drops: spans entered meanwhile become children of
-/// `ctx.parent_span_id` inside `ctx.trace_id`. `None` is a no-op guard.
-pub fn adopt(ctx: impl Into<Option<TraceContext>>) -> AdoptGuard {
-    let Some(ctx) = ctx.into() else { return AdoptGuard { span_id: None } };
-    SPAN_STACK.with(|s| {
-        s.borrow_mut().push(Frame { span_id: ctx.parent_span_id, trace_id: ctx.trace_id });
-    });
-    AdoptGuard { span_id: Some(ctx.parent_span_id) }
-}
-
-/// Runs `f` with `ctx` adopted as this thread's innermost parent, so
-/// spans `f` enters join the submitting thread's trace. `None` runs `f`
-/// unchanged.
-pub fn with_parent<T>(ctx: impl Into<Option<TraceContext>>, f: impl FnOnce() -> T) -> T {
-    let _guard = adopt(ctx);
-    f()
 }
 
 /// Opens an [`Level::Info`] span builder.
@@ -299,6 +280,9 @@ impl SpanBuilder {
                 id,
                 parent,
                 trace,
+                // Taken on entry, not on drop: a thread with a live span
+                // holds its id, so no exited thread's id can reach it late.
+                tid: current_tid(),
                 depth,
                 name: self.name,
                 level: self.level,
@@ -316,6 +300,7 @@ struct ActiveSpan {
     id: u64,
     parent: Option<u64>,
     trace: u64,
+    tid: u64,
     depth: usize,
     name: &'static str,
     level: Level,
@@ -379,7 +364,7 @@ impl Drop for SpanGuard {
             id: a.id,
             parent: a.parent,
             trace: a.trace,
-            tid: current_tid(),
+            tid: a.tid,
             depth: a.depth,
             name: a.name,
             level: a.level,
@@ -507,44 +492,35 @@ mod tests {
     }
 
     #[test]
-    fn with_parent_adopts_context_for_nested_spans() {
-        let records = with_capture(Some(Level::Info), |_| {
-            let root = span("root").entered();
-            let ctx = root.context();
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    with_parent(ctx, || {
-                        let _task = span("task").entered();
-                        let _child = span("task.child").entered();
-                    });
-                    assert!(current_span().is_none(), "adopted frame popped");
-                });
-            });
-            drop(root);
-        });
-        assert_eq!(records.len(), 3);
-        let (child, task, root) = (&records[0], &records[1], &records[2]);
-        assert_eq!(task.parent, Some(root.id));
-        assert_eq!(child.parent, Some(task.id));
-        assert_eq!(child.trace, root.id);
-    }
-
-    #[test]
-    fn with_parent_none_is_a_noop() {
-        let records = with_capture(Some(Level::Info), |_| {
-            with_parent(None, || {
-                let _s = span("free").entered();
-            });
-        });
-        assert_eq!(records[0].parent, None);
-        assert_eq!(records[0].trace, records[0].id);
-    }
-
-    #[test]
     fn tids_are_stable_and_distinct() {
         let mine = current_tid();
         assert_eq!(mine, current_tid(), "tid stable on one thread");
         let other = std::thread::spawn(current_tid).join().expect("tid thread");
         assert_ne!(mine, other, "each thread gets its own tid");
+    }
+
+    #[test]
+    fn tids_of_exited_threads_are_reused_lowest_first() {
+        // Joined before the next spawn, so each thread's id is free again:
+        // the count of distinct ids follows the threads alive beside this
+        // test (other tests' included), not the number of spawns.
+        let sequential: BTreeSet<u64> =
+            (0..100).map(|_| std::thread::spawn(current_tid).join().expect("tid thread")).collect();
+        assert!(sequential.len() < 50, "100 spawns used {} ids", sequential.len());
+
+        let all_asked = std::sync::Barrier::new(4);
+        let alive: BTreeSet<u64> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let tid = current_tid();
+                        all_asked.wait(); // hold the id until all four have one
+                        tid
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("tid thread")).collect()
+        });
+        assert_eq!(alive.len(), 4, "threads alive at once never share an id");
     }
 }
