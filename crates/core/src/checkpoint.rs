@@ -30,8 +30,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use enld_datagen::Dataset;
-use enld_nn::matrix::Matrix;
-use enld_nn::model::Mlp;
+use enld_nn::dense::Dense;
 
 use crate::config::EnldConfig;
 use crate::ledger::{ContrastDraw, SampleDraw};
@@ -72,75 +71,6 @@ impl std::error::Error for CheckpointError {}
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-/// One trainable layer: weights, bias, and SGD velocity buffers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TensorState {
-    pub name: String,
-    pub rows: usize,
-    pub cols: usize,
-    pub weights: Vec<f32>,
-    pub bias: Vec<f32>,
-    pub vel_w: Vec<f32>,
-    pub vel_b: Vec<f32>,
-}
-
-/// A full model snapshot (tensors + momentum) in export order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ModelState {
-    pub tensors: Vec<TensorState>,
-}
-
-impl ModelState {
-    /// Captures every trainable tensor and its momentum from `model`.
-    pub fn capture(model: &Mlp) -> Self {
-        let tensors = model.export_tensors();
-        let momentum = model.export_momentum();
-        let tensors = tensors
-            .into_iter()
-            .zip(momentum)
-            .map(|((name, w, b), (m_name, vw, vb))| {
-                debug_assert_eq!(name, m_name, "tensor/momentum export order diverged");
-                TensorState {
-                    name,
-                    rows: w.rows(),
-                    cols: w.cols(),
-                    weights: w.data().to_vec(),
-                    bias: b,
-                    vel_w: vw,
-                    vel_b: vb,
-                }
-            })
-            .collect();
-        Self { tensors }
-    }
-
-    /// Restores this snapshot into `model` (same architecture), making
-    /// its next SGD step bit-identical to the captured model's.
-    ///
-    /// # Panics
-    /// Panics when a tensor name or shape does not match `model`.
-    pub fn restore_into(&self, model: &mut Mlp) {
-        let tensors = self
-            .tensors
-            .iter()
-            .map(|t| {
-                (
-                    t.name.clone(),
-                    Matrix::from_vec(t.rows, t.cols, t.weights.clone()),
-                    t.bias.clone(),
-                )
-            })
-            .collect();
-        model.import_tensors(tensors);
-        let momentum = self
-            .tensors
-            .iter()
-            .map(|t| (t.name.clone(), t.vel_w.clone(), t.vel_b.clone()))
-            .collect();
-        model.import_momentum(momentum);
     }
 }
 
@@ -201,9 +131,10 @@ pub struct InFlightTask {
     pub warmup_val_acc: f32,
     pub ambiguous_initial: usize,
     /// The fine-tuned model `θ'` (with momentum) as of the last
-    /// checkpointed boundary; between boundaries the live `Mlp` that
-    /// `detect` trains is ahead of it.
-    pub theta: ModelState,
+    /// checkpointed boundary, as its layer walk
+    /// ([`Mlp::layers`](enld_nn::model::Mlp::layers)); between
+    /// boundaries the live `Mlp` that `detect` trains is ahead of it.
+    pub theta: Vec<Dense>,
     pub contrast: Vec<ContrastSample>,
     pub ambiguous: Vec<usize>,
     /// Sticky clean-set membership `S` over `D`.
@@ -219,9 +150,10 @@ pub struct InFlightTask {
 
 /// A complete, self-validating snapshot of detector state.
 ///
-/// The in-flight section is borrowed when the checkpoint is captured from
-/// a running detector (so persisting never deep-clones the task) and
-/// owned when it was loaded from bytes.
+/// The general model (its layer walk) and the in-flight section are
+/// borrowed when the checkpoint is captured from a running detector (so
+/// persisting encodes straight from the live state) and owned when it was
+/// loaded from bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint<'a> {
     /// Fingerprint of the [`EnldConfig`] the detector was built with.
@@ -234,7 +166,7 @@ pub struct Checkpoint<'a> {
     pub hq: Vec<usize>,
     pub sc_accum: Vec<bool>,
     pub cond: CondState,
-    pub model: ModelState,
+    pub model: Cow<'a, [Dense]>,
     pub in_flight: Option<Cow<'a, InFlightTask>>,
     /// Serialized HNSW index over the high-quality set (`--index hnsw`
     /// runs only). Opaque, internally checksummed `enld-ann` blob;
@@ -360,7 +292,7 @@ impl Checkpoint<'_> {
             return Err(CheckpointError::Format("conditional matrix shape mismatch".into()));
         }
         let cond = CondState { classes, joint, cond: cond_rows };
-        let model = decode_model(d)?;
+        let model = Cow::Owned(decode_model(d)?);
         let in_flight = d.opt("in-flight", decode_in_flight)?.map(Cow::Owned);
         let ann = d.opt("ann-index", Dec::u8_vec)?;
         Ok(Checkpoint {
@@ -379,37 +311,48 @@ impl Checkpoint<'_> {
     }
 }
 
-fn encode_model(e: &mut Enc, m: &ModelState) {
-    e.usize(m.tensors.len());
-    for t in &m.tensors {
-        e.str(&t.name);
-        e.usize(t.rows);
-        e.usize(t.cols);
-        e.f32_slice(&t.weights);
-        e.f32_slice(&t.bias);
-        e.f32_slice(&t.vel_w);
-        e.f32_slice(&t.vel_b);
+/// The stored name of tensor `i` of `n`: redundant with its position in
+/// the walk, derived here so the v2 byte layout stays what it was.
+fn tensor_name(i: usize, n: usize) -> String {
+    match i {
+        0 => "embed".into(),
+        _ if i + 1 == n => "head".into(),
+        _ => format!("block{}.d{}", (i - 1) / 2, 1 + (i - 1) % 2),
     }
 }
 
-fn decode_model(d: &mut Dec<'_>) -> Result<ModelState, CheckpointError> {
-    let n = d.usize()?;
-    let mut tensors = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = d.str()?;
-        let rows = d.usize()?;
-        let cols = d.usize()?;
-        let weights = d.f32_vec()?;
-        let bias = d.f32_vec()?;
-        let vel_w = d.f32_vec()?;
-        let vel_b = d.f32_vec()?;
-        if weights.len() != rows * cols || vel_w.len() != weights.len() || vel_b.len() != bias.len()
-        {
-            return Err(CheckpointError::Format(format!("tensor `{name}` shape mismatch")));
-        }
-        tensors.push(TensorState { name, rows, cols, weights, bias, vel_w, vel_b });
+fn encode_model(e: &mut Enc, layers: &[Dense]) {
+    e.usize(layers.len());
+    for (i, layer) in layers.iter().enumerate() {
+        let (w, b, vel_w, vel_b) = layer.parts();
+        e.str(&tensor_name(i, layers.len()));
+        e.usize(w.rows());
+        e.usize(w.cols());
+        e.f32_slice(w.data());
+        e.f32_slice(b);
+        e.f32_slice(vel_w);
+        e.f32_slice(vel_b);
     }
-    Ok(ModelState { tensors })
+}
+
+fn decode_model(d: &mut Dec<'_>) -> Result<Vec<Dense>, CheckpointError> {
+    let n = d.usize()?;
+    let mut layers = Vec::with_capacity(n.min(1024));
+    for i in 0..n {
+        let name = d.str()?;
+        if name != tensor_name(i, n) {
+            return Err(CheckpointError::Format(format!("tensor {i} of {n} is named `{name}`")));
+        }
+        let (rows, cols) = (d.usize()?, d.usize()?);
+        let (weights, bias) = (d.f32_vec()?, d.f32_vec()?);
+        let (vel_w, vel_b) = (d.f32_vec()?, d.f32_vec()?);
+        layers.push(
+            Dense::from_parts(rows, cols, weights, bias, vel_w, vel_b).ok_or_else(|| {
+                CheckpointError::Format(format!("tensor `{name}` shape mismatch"))
+            })?,
+        );
+    }
+    Ok(layers)
 }
 
 fn encode_in_flight(e: &mut Enc, t: &InFlightTask) {
@@ -863,23 +806,21 @@ mod tests {
                 joint: vec![3, 1, 0, 2],
                 cond: vec![0.75, 0.25, 0.0, 1.0],
             },
-            model: ModelState {
-                tensors: vec![TensorState {
-                    name: "embed".into(),
-                    rows: 2,
-                    cols: 3,
-                    weights: vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6],
-                    bias: vec![0.0, 1.0, 2.0],
-                    vel_w: vec![0.0; 6],
-                    vel_b: vec![0.5, 0.5, 0.5],
-                }],
-            },
+            model: Cow::Owned(vec![Dense::from_parts(
+                2,
+                3,
+                vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6],
+                vec![0.0, 1.0, 2.0],
+                vec![0.0; 6],
+                vec![0.5, 0.5, 0.5],
+            )
+            .expect("one 2x3 layer")]),
             in_flight: Some(Cow::Owned(InFlightTask {
                 d_fp: 7,
                 next_iteration: 2,
                 warmup_val_acc: 0.875,
                 ambiguous_initial: 4,
-                theta: ModelState::default(),
+                theta: Vec::new(),
                 contrast: vec![
                     ContrastSample { source: SampleSource::Inventory(3), label: 1 },
                     ContrastSample { source: SampleSource::Incremental(0), label: 0 },
@@ -1009,6 +950,64 @@ mod tests {
         bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         assert!(Checkpoint::from_bytes(&bytes).is_err());
+    }
+
+    /// Frames `payload` with a valid header, so only the decoder can object.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    /// A payload up to and including the model section's tensor count.
+    fn payload_up_to_model(tensors: usize) -> Enc {
+        let mut e = Enc::default();
+        e.u64(1); // config_fp
+        e.u64(2); // inventory_fp
+        e.usize(0); // tasks
+        e.usize(0); // updates
+        e.f64(0.0); // setup_secs
+        e.usize_slice(&[]); // hq
+        e.bool_slice(&[]); // sc_accum
+        e.usize(0); // cond.classes
+        e.u64_slice(&[]); // cond.joint
+        e.f64_slice(&[]); // cond.cond
+        e.usize(tensors);
+        e
+    }
+
+    #[test]
+    fn tensor_shape_product_overflow_is_a_format_error() {
+        // 2⁶³ × 2 wraps to 0 — the length of the (empty) weight vector.
+        let mut e = payload_up_to_model(1);
+        e.str("embed");
+        e.usize(1 << 63);
+        e.usize(2);
+        e.f32_slice(&[]); // weights
+        e.f32_slice(&[0.0, 0.0]); // bias
+        e.f32_slice(&[]); // vel_w
+        e.f32_slice(&[0.0, 0.0]); // vel_b
+        let err = Checkpoint::from_bytes(&framed(&e.buf)).expect_err("must fail");
+        assert!(matches!(err, CheckpointError::Format(ref m) if m.contains("shape")), "{err}");
+    }
+
+    #[test]
+    fn tensor_name_out_of_position_is_a_format_error() {
+        let mut e = payload_up_to_model(2);
+        for name in ["head", "embed"] {
+            e.str(name);
+            e.usize(1);
+            e.usize(1);
+            for _ in 0..4 {
+                e.f32_slice(&[0.0]);
+            }
+        }
+        let err = Checkpoint::from_bytes(&framed(&e.buf)).expect_err("must fail");
+        assert!(matches!(err, CheckpointError::Format(ref m) if m.contains("`head`")), "{err}");
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Enld {
             let (mut task, mut theta) = match resumed {
                 Some(task) => {
                     let mut theta = self.model.clone();
-                    task.theta.restore_into(&mut theta);
+                    theta.restore(&task.theta).expect("resume_from fitted the in-flight model");
                     (task, theta)
                 }
                 None => {

@@ -11,7 +11,7 @@ use enld_nn::model::Mlp;
 use enld_telemetry as telemetry;
 
 use super::{Enld, Recovery};
-use crate::checkpoint::{self, Checkpoint, CheckpointError, CondState, InFlightTask, ModelState};
+use crate::checkpoint::{self, Checkpoint, CheckpointError, CondState, InFlightTask};
 use crate::config::EnldConfig;
 use crate::probability::ConditionalLabelProbability;
 
@@ -57,7 +57,7 @@ impl Enld {
             hq: self.hq.clone(),
             sc_accum: self.sc_accum.clone(),
             cond: CondState { classes, joint: joint.to_vec(), cond: cond.to_vec() },
-            model: ModelState::capture(&self.model),
+            model: Cow::Borrowed(self.model.layers()),
             in_flight: in_flight.map(Cow::Borrowed),
             ann: self.ann.as_ref().map(AnnClassIndex::to_bytes),
         }
@@ -71,7 +71,7 @@ impl Enld {
         let Some(path) = &self.recovery.checkpoint_path else { return };
         let _span = telemetry::debug_span("enld.checkpoint.persist").entered();
         let in_flight = live.map(|(task, theta)| {
-            task.theta = ModelState::capture(theta);
+            task.theta = theta.layers().to_vec();
             &*task
         });
         if let Err(e) = self.snapshot(in_flight).save_atomic(path) {
@@ -97,7 +97,8 @@ impl Enld {
     ///
     /// # Errors
     /// [`CheckpointError::Mismatch`] when the config or inventory differs
-    /// from the checkpointed one.
+    /// from the checkpointed one, or when the general model or the
+    /// in-flight `θ'` does not fit the configured backbone.
     pub fn resume_from(
         inventory: &Dataset,
         config: &EnldConfig,
@@ -126,7 +127,15 @@ impl Enld {
         }
         let model_cfg = config.arch.config(inventory.dim(), inventory.classes());
         let mut model = Mlp::new(&model_cfg, config.seed);
-        ckpt.model.restore_into(&mut model);
+        // θ' is only parked here, but `detect` cannot refuse it later:
+        // fit it now, then put the general model in its place.
+        let misfit = |what: &str, e: String| {
+            CheckpointError::Mismatch(format!("{what} does not fit the configured backbone: {e}"))
+        };
+        if let Some(task) = &ckpt.in_flight {
+            model.restore(&task.theta).map_err(|e| misfit("in-flight model", e))?;
+        }
+        model.restore(&ckpt.model).map_err(|e| misfit("general model", e))?;
         let cond = ConditionalLabelProbability::from_parts(
             ckpt.cond.classes,
             ckpt.cond.joint.clone(),
@@ -170,9 +179,12 @@ impl Enld {
 
 #[cfg(test)]
 mod tests {
-    use enld_knn::IndexBackend;
+    use std::borrow::Cow;
 
-    use crate::checkpoint::{Checkpoint, CheckpointError};
+    use enld_knn::IndexBackend;
+    use enld_nn::dense::Dense;
+
+    use crate::checkpoint::{Checkpoint, CheckpointError, InFlightTask};
     use crate::config::EnldConfig;
     use crate::detector::{small_lake, Enld};
     use crate::report::DetectionReport;
@@ -268,6 +280,61 @@ mod tests {
             Enld::resume_from(other_lake.inventory(), &cfg, &ckpt),
             Err(CheckpointError::Mismatch(_))
         ));
+    }
+
+    /// `d` with its weight shape transposed (same element count).
+    fn transposed(d: &Dense) -> Dense {
+        let (w, _, vel_w, _) = d.parts();
+        let (rows, cols) = (w.cols(), w.rows());
+        Dense::from_parts(
+            rows,
+            cols,
+            w.data().to_vec(),
+            vec![0.0; cols],
+            vel_w.to_vec(),
+            vec![0.0; cols],
+        )
+        .expect("a transposed layer is a layer")
+    }
+
+    /// A checksum-valid checkpoint whose tensors do not fit the backbone
+    /// is refused with a typed error — for the general model and for a
+    /// parked `θ'` alike — instead of panicking now or inside `detect`.
+    #[test]
+    fn resume_rejects_models_that_do_not_fit_the_backbone() {
+        let lake = small_lake(0.2, 36);
+        let cfg = EnldConfig::fast_test();
+        let enld = Enld::init(lake.inventory(), &cfg);
+        let mut good = enld.capture_checkpoint();
+        let walk = good.model.to_vec();
+        good.in_flight =
+            Some(Cow::Owned(InFlightTask { theta: walk.clone(), ..InFlightTask::default() }));
+        // Through the codec, as a restarted process would see it.
+        let good = Checkpoint::from_bytes(&good.to_bytes()).expect("codec round-trip");
+        assert!(Enld::resume_from(lake.inventory(), &cfg, &good).is_ok());
+
+        let dropped = walk[..walk.len() - 1].to_vec();
+        let mut swapped = walk.clone();
+        swapped.swap(0, 1);
+        let mut transposed_head = walk.clone();
+        let last = walk.len() - 1;
+        transposed_head[last] = transposed(&walk[last]);
+        for (what, bad) in
+            [("dropped", dropped), ("swapped", swapped), ("transposed", transposed_head)]
+        {
+            let mut in_model = good.clone();
+            in_model.model = Cow::Owned(bad.clone());
+            let mut in_theta = good.clone();
+            in_theta.in_flight.as_mut().expect("parked task").to_mut().theta = bad;
+            for (place, ckpt) in [("model", in_model), ("in_flight.theta", in_theta)] {
+                // Encodes, decodes, and is refused — never a panic.
+                let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("codec round-trip");
+                let Err(err) = Enld::resume_from(lake.inventory(), &cfg, &ckpt) else {
+                    panic!("{what} in {place}: an ill-fitting model must be refused");
+                };
+                assert!(matches!(err, CheckpointError::Mismatch(_)), "{what} in {place}: {err}");
+            }
+        }
     }
 
     #[test]

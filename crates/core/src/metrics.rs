@@ -112,7 +112,8 @@ pub fn pseudo_label_accuracy(pseudo: &[(usize, u32)], truth: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn perfect_detection() {
@@ -168,40 +169,51 @@ mod tests {
         assert_eq!(pseudo_label_accuracy(&[], &truth), 0.0);
     }
 
-    proptest! {
-        #[test]
-        fn prop_metrics_bounded(
-            detected in proptest::collection::btree_set(0usize..30, 0..20),
-            actual in proptest::collection::btree_set(0usize..30, 0..20),
-        ) {
-            let d: Vec<usize> = detected.into_iter().collect();
-            let a: Vec<usize> = actual.into_iter().collect();
+    /// Seeded cases per property.
+    const CASES: u64 = 256;
+
+    /// A sorted set of distinct indices below `n`, its size in `sizes`.
+    fn random_index_set(rng: &mut StdRng, n: usize, sizes: std::ops::Range<usize>) -> Vec<usize> {
+        let len = rng.gen_range(sizes);
+        let mut set = std::collections::BTreeSet::new();
+        while set.len() < len {
+            set.insert(rng.gen_range(0..n));
+        }
+        set.into_iter().collect()
+    }
+
+    #[test]
+    fn prop_metrics_bounded() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let d = random_index_set(&mut rng, 30, 0..20);
+            let a = random_index_set(&mut rng, 30, 0..20);
             let m = detection_metrics(&d, &a, 30);
-            prop_assert!((0.0..=1.0).contains(&m.precision));
-            prop_assert!((0.0..=1.0).contains(&m.recall));
-            prop_assert!((0.0..=1.0).contains(&m.f1));
+            assert!((0.0..=1.0).contains(&m.precision), "case {case}");
+            assert!((0.0..=1.0).contains(&m.recall), "case {case}");
+            assert!((0.0..=1.0).contains(&m.f1), "case {case}");
             // F1 is the harmonic mean: it lies between min(P, R) and
             // max(P, R) whenever both are positive, and is 0 otherwise.
             if m.precision > 0.0 && m.recall > 0.0 {
-                prop_assert!(m.f1 >= m.precision.min(m.recall) - 1e-12);
-                prop_assert!(m.f1 <= m.precision.max(m.recall) + 1e-12);
+                assert!(m.f1 >= m.precision.min(m.recall) - 1e-12, "case {case}");
+                assert!(m.f1 <= m.precision.max(m.recall) + 1e-12, "case {case}");
             } else {
-                prop_assert_eq!(m.f1, 0.0);
+                assert_eq!(m.f1, 0.0, "case {case}");
             }
         }
+    }
 
-        #[test]
-        fn prop_swapping_roles_swaps_precision_recall(
-            detected in proptest::collection::btree_set(0usize..20, 1..10),
-            actual in proptest::collection::btree_set(0usize..20, 1..10),
-        ) {
-            let d: Vec<usize> = detected.into_iter().collect();
-            let a: Vec<usize> = actual.into_iter().collect();
+    #[test]
+    fn prop_swapping_roles_swaps_precision_recall() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let d = random_index_set(&mut rng, 20, 1..10);
+            let a = random_index_set(&mut rng, 20, 1..10);
             let m1 = detection_metrics(&d, &a, 20);
             let m2 = detection_metrics(&a, &d, 20);
-            prop_assert!((m1.precision - m2.recall).abs() < 1e-12);
-            prop_assert!((m1.recall - m2.precision).abs() < 1e-12);
-            prop_assert!((m1.f1 - m2.f1).abs() < 1e-12);
+            assert!((m1.precision - m2.recall).abs() < 1e-12, "case {case}");
+            assert!((m1.recall - m2.precision).abs() < 1e-12, "case {case}");
+            assert!((m1.f1 - m2.f1).abs() < 1e-12, "case {case}");
         }
     }
 }

@@ -149,7 +149,6 @@ pub fn prob_class_missing(p_keep: f64, count: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn estimate_simple() -> ConditionalLabelProbability {
@@ -217,96 +216,114 @@ mod tests {
         assert_eq!(prob_class_missing(0.0, 3), 1.0);
     }
 
-    proptest! {
-        #[test]
-        fn prop_estimate_rows_stochastic(
-            pairs in proptest::collection::vec((0u32..5, 0u32..5), 1..60),
-        ) {
-            let observed: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let predicted: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+    /// Seeded cases per property.
+    const CASES: u64 = 256;
+
+    /// `len` in `lens` pairs of `(observed, predicted)` labels below `classes`.
+    fn random_pairs(
+        rng: &mut StdRng,
+        classes: u32,
+        lens: std::ops::Range<usize>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let n = rng.gen_range(lens);
+        (0..n).map(|_| (rng.gen_range(0..classes), rng.gen_range(0..classes))).unzip()
+    }
+
+    /// A sorted set of distinct labels below `classes`, its size in `sizes`.
+    fn random_label_set(rng: &mut StdRng, classes: u32, sizes: std::ops::Range<usize>) -> Vec<u32> {
+        let n = rng.gen_range(sizes);
+        let mut set = std::collections::BTreeSet::new();
+        while set.len() < n {
+            set.insert(rng.gen_range(0..classes));
+        }
+        set.into_iter().collect()
+    }
+
+    #[test]
+    fn prop_estimate_rows_stochastic() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (observed, predicted) = random_pairs(&mut rng, 5, 1..60);
             let est = ConditionalLabelProbability::estimate(&observed, &predicted, 5);
             for i in 0..5 {
                 let s: f64 = est.row(i).iter().sum();
-                prop_assert!((s - 1.0).abs() < 1e-9);
-                prop_assert!(est.row(i).iter().all(|&p| (0.0..=1.0).contains(&p)));
+                assert!((s - 1.0).abs() < 1e-9, "case {case}");
+                assert!(est.row(i).iter().all(|&p| (0.0..=1.0).contains(&p)), "case {case}");
             }
         }
+    }
 
-        #[test]
-        fn prop_restricted_row_renormalises(
-            pairs in proptest::collection::vec((0u32..5, 0u32..5), 1..80),
-            allowed in proptest::collection::btree_set(0u32..5, 1..5),
-            observed in 0u32..5,
-        ) {
-            let obs: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let pred: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+    #[test]
+    fn prop_restricted_row_renormalises() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (obs, pred) = random_pairs(&mut rng, 5, 1..80);
+            let allowed = random_label_set(&mut rng, 5, 1..5);
+            let observed = rng.gen_range(0u32..5);
             let est = ConditionalLabelProbability::estimate(&obs, &pred, 5);
-            let allowed: Vec<u32> = allowed.into_iter().collect();
             let restricted = est.restricted_row(observed, &allowed);
-            prop_assert_eq!(restricted.len(), allowed.len());
+            assert_eq!(restricted.len(), allowed.len(), "case {case}");
             let sum: f64 = restricted.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "sum {}", sum);
-            prop_assert!(restricted.iter().all(|p| p.is_finite() && (0.0..=1.0).contains(p)));
+            assert!((sum - 1.0).abs() < 1e-9, "case {case}: sum {sum}");
+            assert!(
+                restricted.iter().all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
+                "case {case}"
+            );
             // Proportionality: when the restriction keeps positive mass,
             // renormalising must preserve the ratios of the original row.
             let row = est.row(observed as usize);
             let mass: f64 = allowed.iter().map(|&j| row[j as usize]).sum();
             if mass > 0.0 {
                 for (m, &j) in allowed.iter().enumerate() {
-                    prop_assert!((restricted[m] - row[j as usize] / mass).abs() < 1e-12);
+                    assert!((restricted[m] - row[j as usize] / mass).abs() < 1e-12, "case {case}");
                 }
             }
         }
+    }
 
-        #[test]
-        fn prop_degenerate_rows_fall_back_without_nan(
-            allowed in proptest::collection::btree_set(0u32..4, 1..5),
-            seed in 0u64..500,
-        ) {
-            // Class 4's row was never observed: estimation falls back to
-            // the identity. Restricting it to labels != 4 leaves zero mass,
-            // which must yield the uniform fallback — never NaN.
-            let est = ConditionalLabelProbability::estimate(&[0, 1], &[1, 0], 5);
-            let allowed: Vec<u32> = allowed.into_iter().collect();
+    #[test]
+    fn prop_degenerate_rows_fall_back_without_nan() {
+        // Class 4's row was never observed: estimation falls back to
+        // the identity. Restricting it to labels != 4 leaves zero mass,
+        // which must yield the uniform fallback — never NaN.
+        let est = ConditionalLabelProbability::estimate(&[0, 1], &[1, 0], 5);
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let allowed = random_label_set(&mut rng, 4, 1..5);
             let restricted = est.restricted_row(4, &allowed);
-            prop_assert!(restricted.iter().all(|p| p.is_finite()));
+            assert!(restricted.iter().all(|p| p.is_finite()), "case {case}");
             let sum: f64 = restricted.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "sum {}", sum);
+            assert!((sum - 1.0).abs() < 1e-9, "case {case}: sum {sum}");
             for &p in &restricted {
-                prop_assert!((p - 1.0 / allowed.len() as f64).abs() < 1e-12);
+                assert!((p - 1.0 / allowed.len() as f64).abs() < 1e-12, "case {case}");
             }
-            let mut rng = StdRng::seed_from_u64(seed);
             let drawn = est.random_label(4, &allowed, &mut rng);
-            prop_assert!(allowed.contains(&drawn));
+            assert!(allowed.contains(&drawn), "case {case}");
         }
+    }
 
-        #[test]
-        fn prop_parts_round_trip(
-            pairs in proptest::collection::vec((0u32..4, 0u32..4), 1..40),
-        ) {
-            let obs: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let pred: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+    #[test]
+    fn prop_parts_round_trip() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (obs, pred) = random_pairs(&mut rng, 4, 1..40);
             let est = ConditionalLabelProbability::estimate(&obs, &pred, 4);
             let (classes, joint, cond) = est.to_parts();
-            let back = ConditionalLabelProbability::from_parts(
-                classes, joint.to_vec(), cond.to_vec(),
-            );
-            prop_assert_eq!(back, est);
+            let back =
+                ConditionalLabelProbability::from_parts(classes, joint.to_vec(), cond.to_vec());
+            assert_eq!(back, est, "case {case}");
         }
+    }
 
-        #[test]
-        fn prop_random_label_always_allowed(
-            pairs in proptest::collection::vec((0u32..4, 0u32..4), 4..40),
-            allowed in proptest::collection::btree_set(0u32..4, 1..4),
-            seed in 0u64..1000,
-        ) {
-            let observed: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let predicted: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+    #[test]
+    fn prop_random_label_always_allowed() {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let (observed, predicted) = random_pairs(&mut rng, 4, 4..40);
+            let allowed = random_label_set(&mut rng, 4, 1..4);
             let est = ConditionalLabelProbability::estimate(&observed, &predicted, 4);
-            let allowed: Vec<u32> = allowed.into_iter().collect();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let drawn = est.random_label(pairs[0].0, &allowed, &mut rng);
-            prop_assert!(allowed.contains(&drawn));
+            let drawn = est.random_label(observed[0], &allowed, &mut rng);
+            assert!(allowed.contains(&drawn), "case {case}");
         }
     }
 }

@@ -163,11 +163,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Reset every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// `self @ other` — (m×k) · (k×n) → (m×n).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner-dim mismatch");
@@ -238,52 +233,32 @@ impl Matrix {
         self.data.iter_mut().for_each(|v| *v *= s);
     }
 
-    /// In-place ReLU; returns the activation mask needed for backprop.
-    pub fn relu_inplace(&mut self) -> Vec<bool> {
-        let mut mask = vec![false; self.data.len()];
-        for (v, m) in self.data.iter_mut().zip(mask.iter_mut()) {
-            if *v > 0.0 {
-                *m = true;
-            } else {
-                *v = 0.0;
-            }
-        }
-        mask
-    }
-
-    /// In-place ReLU without materializing the backprop mask, for the
-    /// inference paths: batch forward passes were allocating a
-    /// `Vec<bool>` per layer only to drop it. Keeps `relu_inplace`'s
-    /// exact semantics (anything not strictly positive, including NaN
-    /// and `-0.0`, becomes `+0.0`) so both entry points produce
-    /// bit-identical activations.
-    pub fn relu_inference(&mut self) {
+    /// In-place ReLU: anything not strictly positive — negatives, `-0.0`
+    /// and NaN included — becomes `+0.0`.
+    pub fn relu(&mut self) {
         for v in self.data.iter_mut() {
-            let keep = *v > 0.0;
-            if !keep {
-                *v = 0.0;
-            }
+            *v = if *v > 0.0 { *v } else { 0.0 };
         }
     }
 
-    /// Zeroes elements where `mask` is false (ReLU backward).
-    pub fn apply_mask(&mut self, mask: &[bool]) {
-        assert_eq!(mask.len(), self.data.len(), "mask length mismatch");
-        for (v, &m) in self.data.iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
+    /// ReLU backward, given the ReLU's *output*: zeroes every element
+    /// whose `activation` is not positive. An output is positive exactly
+    /// where its pre-activation was, so no mask is kept from the forward
+    /// pass.
+    pub fn zero_where_not_positive(&mut self, activation: &Matrix) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (activation.rows, activation.cols),
+            "activation shape mismatch"
+        );
+        for (v, &a) in self.data.iter_mut().zip(&activation.data) {
+            *v = if a > 0.0 { *v } else { 0.0 };
         }
-    }
-
-    /// Frobenius norm; handy in tests and gradient diagnostics.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Scalar ijk reference product — one accumulator per output element,
     /// `kk` ascending. The packed kernels are pinned bit-identical to this
-    /// by the proptest equivalence suite.
+    /// by `packed_kernels_match_the_naive_reference_bitwise`.
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner-dim mismatch");
         let (m, n, k) = (self.rows, other.cols, self.cols);
@@ -355,14 +330,48 @@ mod tests {
     }
 
     #[test]
-    fn relu_mask_roundtrip() {
+    fn relu_then_backward_through_its_output() {
         let mut a = m(1, 4, &[-1.0, 2.0, 0.0, 3.0]);
-        let mask = a.relu_inplace();
+        a.relu();
         assert_eq!(a.data(), &[0.0, 2.0, 0.0, 3.0]);
-        assert_eq!(mask, vec![false, true, false, true]);
         let mut g = m(1, 4, &[5.0, 5.0, 5.0, 5.0]);
-        g.apply_mask(&mask);
+        g.zero_where_not_positive(&a);
         assert_eq!(g.data(), &[0.0, 5.0, 0.0, 5.0]);
+    }
+
+    /// The mask derived from a ReLU output is the pre-activation test:
+    /// `pre > 0.0` ⇔ `relu(pre) > 0.0`, edge values included, and what
+    /// does not pass is `+0.0` to the bit.
+    #[test]
+    fn derived_mask_equals_the_pre_activation_test() {
+        let pre = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 2.0, // subnormal
+            -f32::MIN_POSITIVE / 2.0,
+            f32::from_bits(1), // smallest subnormal
+            f32::MAX,
+            f32::MIN,
+            1.5,
+            -1.5,
+        ];
+        let mut act = m(1, pre.len(), &pre);
+        act.relu();
+        let mut g = m(1, pre.len(), &vec![7.0; pre.len()]);
+        g.zero_where_not_positive(&act);
+        for (i, &p) in pre.iter().enumerate() {
+            let passes = p > 0.0;
+            assert_eq!(act.data()[i] > 0.0, passes, "mask of {p:?}");
+            let want_act = if passes { p } else { 0.0 };
+            assert_eq!(act.data()[i].to_bits(), want_act.to_bits(), "relu({p:?})");
+            assert_eq!(g.data()[i], if passes { 7.0 } else { 0.0 }, "gradient at {p:?}");
+        }
     }
 
     #[test]
@@ -371,12 +380,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 2);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn frobenius() {
-        let a = m(1, 2, &[3.0, 4.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     fn pattern(rows: usize, cols: usize, mul: usize, md: usize, s: f32) -> Matrix {

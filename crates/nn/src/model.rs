@@ -4,106 +4,40 @@
 //! * `M(x, θ)` — softmax confidences, via [`Mlp::predict_proba`];
 //! * `M̂(x, θ)` — penultimate features, via [`Mlp::features`].
 
-use rand::rngs::StdRng;
-
 use crate::arch::{Connectivity, ModelConfig};
 use crate::data::DataRef;
 use crate::dense::Dense;
 use crate::init::seeded_rng;
-use crate::loss::softmax_inplace;
+use crate::loss::{softmax_cross_entropy, softmax_inplace};
 use crate::matrix::Matrix;
 use crate::optimizer::SgdConfig;
 
 /// Batch size used for chunked inference over whole datasets.
 const INFERENCE_BATCH: usize = 256;
 
-/// One pre-activation two-layer block with a residual skip and an optional
-/// global skip from the embedding (dense connectivity).
-#[derive(Clone)]
-struct Block {
-    d1: Dense,
-    d2: Dense,
-    mask_hidden: Option<Vec<bool>>,
-    mask_out: Option<Vec<bool>>,
-    uses_global_skip: bool,
+/// What one forward pass produced: every post-ReLU activation in layer
+/// order (embedding output, then hidden and output per block) plus the
+/// logits. `acts[j]` is the output of layer `j` and the input of layer
+/// `j + 1`, which is all a backward pass needs: the activation feeding a
+/// layer is that layer's `dW` input, and a ReLU output is positive exactly
+/// where its gradient passes.
+struct Tape {
+    acts: Vec<Matrix>,
+    logits: Matrix,
 }
 
-impl Block {
-    fn new(width: usize, uses_global_skip: bool, rng: &mut StdRng) -> Self {
-        Self {
-            d1: Dense::new(width, width, rng),
-            d2: Dense::new(width, width, rng),
-            mask_hidden: None,
-            mask_out: None,
-            uses_global_skip,
-        }
-    }
-
-    /// `y = ReLU(d2(ReLU(d1(x))) + x [+ x₀])`
-    fn forward(&mut self, x: &Matrix, global_skip: Option<&Matrix>) -> Matrix {
-        let mut h = self.d1.forward(x);
-        self.mask_hidden = Some(h.relu_inplace());
-        let mut y = self.d2.forward(&h);
-        y.add_assign(x);
-        if self.uses_global_skip {
-            let g = global_skip.expect("dense connectivity requires the embedding output");
-            y.add_assign(g);
-        }
-        self.mask_out = Some(y.relu_inplace());
-        y
-    }
-
-    fn forward_inference(&self, x: &Matrix, global_skip: Option<&Matrix>) -> Matrix {
-        let mut h = self.d1.forward_inference(x);
-        h.relu_inference();
-        let mut y = self.d2.forward_inference(&h);
-        y.add_assign(x);
-        if self.uses_global_skip {
-            let g = global_skip.expect("dense connectivity requires the embedding output");
-            y.add_assign(g);
-        }
-        y.relu_inference();
-        y
-    }
-
-    /// Returns `(dx, d_global)` where `d_global` is the gradient flowing
-    /// into the embedding output through the global skip (if any).
-    fn backward(&mut self, dy: &Matrix) -> (Matrix, Option<Matrix>) {
-        let mut dy = dy.clone();
-        dy.apply_mask(self.mask_out.as_ref().expect("backward before forward"));
-        let mut dh = self.d2.backward(&dy);
-        dh.apply_mask(self.mask_hidden.as_ref().expect("backward before forward"));
-        let mut dx = self.d1.backward(&dh);
-        dx.add_assign(&dy); // residual skip
-        let d_global = self.uses_global_skip.then(|| dy.clone());
-        (dx, d_global)
-    }
-
-    fn apply_gradients(&mut self, cfg: &SgdConfig) {
-        self.d1.apply_gradients(cfg);
-        self.d2.apply_gradients(cfg);
-    }
-
-    fn reset_momentum(&mut self) {
-        self.d1.reset_momentum();
-        self.d2.reset_momentum();
-    }
-
-    fn param_count(&self) -> usize {
-        self.d1.param_count() + self.d2.param_count()
-    }
-}
-
-/// Residual MLP classifier with cached activations for training.
+/// Residual MLP classifier: its configuration, and its layers in the one
+/// stable order everything walks — `embed`, then `block{i}.d1`,
+/// `block{i}.d2` per block, then `head`. Layers hold parameters and SGD
+/// momentum only, so a clone copies exactly those.
+///
+/// Block `i` is layers `1 + 2i` and `2 + 2i`:
+/// `y = ReLU(d2(ReLU(d1(x))) + x [+ x₀])`, with the global skip from the
+/// embedding output `x₀` under dense connectivity.
 #[derive(Clone)]
 pub struct Mlp {
     config: ModelConfig,
-    embed: Dense,
-    embed_mask: Option<Vec<bool>>,
-    embed_out: Option<Matrix>,
-    blocks: Vec<Block>,
-    head: Dense,
-    features_cache: Option<Matrix>,
+    layers: Vec<Dense>,
 }
 
 impl std::fmt::Debug for Mlp {
@@ -125,20 +59,12 @@ impl Mlp {
     pub fn new(config: &ModelConfig, seed: u64) -> Self {
         assert!(config.width > 0 && config.classes > 0 && config.input_dim > 0);
         let mut rng = seeded_rng(seed);
-        let dense = config.connectivity == Connectivity::DenselyConnected;
-        let embed = Dense::new(config.input_dim, config.width, &mut rng);
-        let blocks =
-            (0..config.blocks).map(|_| Block::new(config.width, dense, &mut rng)).collect();
-        let head = Dense::new(config.width, config.classes, &mut rng);
-        Self {
-            config: *config,
-            embed,
-            embed_mask: None,
-            embed_out: None,
-            blocks,
-            head,
-            features_cache: None,
-        }
+        let width = config.width;
+        let mut layers = Vec::with_capacity(2 + 2 * config.blocks);
+        layers.push(Dense::new(config.input_dim, width, &mut rng));
+        layers.extend((0..2 * config.blocks).map(|_| Dense::new(width, width, &mut rng)));
+        layers.push(Dense::new(width, config.classes, &mut rng));
+        Self { config: *config, layers }
     }
 
     pub fn config(&self) -> &ModelConfig {
@@ -150,79 +76,119 @@ impl Mlp {
         self.config.classes
     }
 
-    /// Total trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.embed.param_count()
-            + self.blocks.iter().map(Block::param_count).sum::<usize>()
-            + self.head.param_count()
+    /// Every layer, in the stable order: `embed`, `block{i}.d1`,
+    /// `block{i}.d2`, …, `head`.
+    pub fn layers(&self) -> &[Dense] {
+        &self.layers
     }
 
-    /// Training forward pass over a batch; caches activations for
-    /// [`Mlp::backward`]. Returns logits `(n × classes)`.
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let mut h = self.embed.forward(x);
-        self.embed_mask = Some(h.relu_inplace());
-        self.embed_out = Some(h.clone());
-        let embed_out = self.embed_out.clone();
-        for block in &mut self.blocks {
-            h = block.forward(&h, embed_out.as_ref());
+    /// Replaces every layer (parameters and momentum) with `layers`, which
+    /// must be this architecture's walk: same count, same order, same
+    /// shapes. The next SGD step is then bit-identical to the source
+    /// model's.
+    ///
+    /// # Errors
+    /// Names the first layer that does not fit; the model is untouched.
+    pub fn restore(&mut self, layers: &[Dense]) -> Result<(), String> {
+        if layers.len() != self.layers.len() {
+            return Err(format!("{} tensors where {} fit", layers.len(), self.layers.len()));
         }
-        self.features_cache = Some(h.clone());
-        self.head.forward(&h)
-    }
-
-    /// Backward pass from the logits gradient; accumulates gradients in
-    /// every layer.
-    pub fn backward(&mut self, dlogits: &Matrix) {
-        let mut d = self.head.backward(dlogits);
-        let mut d_global_total: Option<Matrix> = None;
-        for block in self.blocks.iter_mut().rev() {
-            let (dx, d_global) = block.backward(&d);
-            d = dx;
-            if let Some(g) = d_global {
-                match &mut d_global_total {
-                    Some(total) => total.add_assign(&g),
-                    None => d_global_total = Some(g),
-                }
+        for (i, (have, new)) in self.layers.iter().zip(layers).enumerate() {
+            let (want, got) = ((have.in_dim(), have.out_dim()), (new.in_dim(), new.out_dim()));
+            if want != got {
+                return Err(format!("tensor {i} is {got:?} where {want:?} fits"));
             }
         }
-        if let Some(g) = d_global_total {
-            d.add_assign(&g);
-        }
-        d.apply_mask(self.embed_mask.as_ref().expect("backward before forward"));
-        let _ = self.embed.backward(&d);
+        self.layers.clone_from_slice(layers);
+        Ok(())
     }
 
-    /// Applies all accumulated gradients and clears them.
-    pub fn apply_gradients(&mut self, cfg: &SgdConfig) {
-        self.embed.apply_gradients(cfg);
-        for block in &mut self.blocks {
-            block.apply_gradients(cfg);
-        }
-        self.head.apply_gradients(cfg);
+    /// Total trainable parameters.
+    pub fn param_count(&self) -> usize {
+        self.layers.iter().map(Dense::param_count).sum()
     }
 
     /// Resets optimiser momentum; call when fine-tuning starts from a
     /// snapshot of the general model.
     pub fn reset_momentum(&mut self) {
-        self.embed.reset_momentum();
-        for block in &mut self.blocks {
-            block.reset_momentum();
-        }
-        self.head.reset_momentum();
+        self.layers.iter_mut().for_each(Dense::reset_momentum);
     }
 
-    /// Inference forward pass: returns `(features, logits)` without
-    /// touching training caches (`&self`).
-    pub fn forward_inference(&self, x: &Matrix) -> (Matrix, Matrix) {
-        let mut h = self.embed.forward_inference(x);
-        h.relu_inference();
-        let embed_out = h.clone();
-        for block in &self.blocks {
-            h = block.forward_inference(&h, Some(&embed_out));
+    /// The one forward pass over a batch.
+    fn forward(&self, x: &Matrix) -> Tape {
+        let dense = self.config.connectivity == Connectivity::DenselyConnected;
+        let (head, body) = self.layers.split_last().expect("a model has a head");
+        let mut acts = Vec::with_capacity(body.len());
+        let mut h = body[0].forward(x);
+        h.relu();
+        acts.push(h);
+        for block in body[1..].chunks_exact(2) {
+            let x = &acts[acts.len() - 1];
+            let mut hidden = block[0].forward(x);
+            hidden.relu();
+            let mut y = block[1].forward(&hidden);
+            y.add_assign(x);
+            if dense {
+                y.add_assign(&acts[0]);
+            }
+            y.relu();
+            acts.push(hidden);
+            acts.push(y);
         }
-        let logits = self.head.forward_inference(&h);
-        (h, logits)
+        let logits = head.forward(&acts[acts.len() - 1]);
+        Tape { acts, logits }
+    }
+
+    /// Backward pass and SGD step in one walk from the head down: each
+    /// layer's `dW`/`db` are consumed as they are produced, after its `dX`
+    /// was taken against the pre-step weights. `tape` is the forward pass
+    /// of the same `x`.
+    fn backward_step(&mut self, x: &Matrix, tape: &Tape, dlogits: &Matrix, sgd: &SgdConfig) {
+        let dense = self.config.connectivity == Connectivity::DenselyConnected;
+        let acts = &tape.acts;
+        let mut layer_step = |j: usize, dy: &Matrix| {
+            let dx = self.layers[j].input_grad(dy);
+            self.layers[j].step(&acts[j - 1], dy, sgd);
+            dx
+        };
+        let mut d = layer_step(acts.len(), dlogits);
+        // Gradient reaching the embedding output through the global skips.
+        let mut d_global: Option<Matrix> = None;
+        for d2 in (2..acts.len()).step_by(2).rev() {
+            let mut dy = d;
+            dy.zero_where_not_positive(&acts[d2]);
+            let mut dh = layer_step(d2, &dy);
+            dh.zero_where_not_positive(&acts[d2 - 1]);
+            d = layer_step(d2 - 1, &dh);
+            d.add_assign(&dy); // residual skip
+            if dense {
+                match &mut d_global {
+                    Some(total) => total.add_assign(&dy),
+                    None => d_global = Some(dy),
+                }
+            }
+        }
+        if let Some(g) = d_global {
+            d.add_assign(&g);
+        }
+        d.zero_where_not_positive(&acts[0]);
+        self.layers[0].step(x, &d, sgd);
+    }
+
+    /// One training step on a batch — forward, mean cross-entropy against
+    /// the soft `targets`, backward and SGD step. Returns the loss.
+    pub(crate) fn train_step(&mut self, x: &Matrix, targets: &Matrix, sgd: &SgdConfig) -> f32 {
+        let tape = self.forward(x);
+        let (loss, dlogits) = softmax_cross_entropy(&tape.logits, targets);
+        self.backward_step(x, &tape, &dlogits, sgd);
+        loss
+    }
+
+    /// Inference: the `(features, logits)` of the forward pass — the
+    /// penultimate activation is the last one on the tape.
+    pub fn forward_inference(&self, x: &Matrix) -> (Matrix, Matrix) {
+        let Tape { mut acts, logits } = self.forward(x);
+        (acts.pop().expect("the embedding output is always on the tape"), logits)
     }
 
     /// Softmax confidences `M(x, θ)` for every sample in `data`,
@@ -285,103 +251,6 @@ impl Mlp {
         correct as f32 / data.len() as f32
     }
 
-    /// Exports every trainable tensor as `(name, weights, bias)` in a
-    /// stable order — what the detector checkpoint stores.
-    pub fn export_tensors(&self) -> Vec<(String, Matrix, Vec<f32>)> {
-        let mut out = Vec::with_capacity(2 + 2 * self.blocks.len());
-        let dump = |name: String, d: &Dense, out: &mut Vec<(String, Matrix, Vec<f32>)>| {
-            let (w, b) = d.weights();
-            out.push((name, w.clone(), b.to_vec()));
-        };
-        dump("embed".into(), &self.embed, &mut out);
-        for (i, block) in self.blocks.iter().enumerate() {
-            dump(format!("block{i}.d1"), &block.d1, &mut out);
-            dump(format!("block{i}.d2"), &block.d2, &mut out);
-        }
-        dump("head".into(), &self.head, &mut out);
-        out
-    }
-
-    /// Restores trainable tensors previously produced by
-    /// [`Mlp::export_tensors`] on a model of the same configuration.
-    ///
-    /// # Panics
-    /// Panics when a tensor name or shape does not match this model.
-    pub fn import_tensors(&mut self, tensors: Vec<(String, Matrix, Vec<f32>)>) {
-        let expected = 2 + 2 * self.blocks.len();
-        assert_eq!(tensors.len(), expected, "tensor count mismatch");
-        for (name, w, b) in tensors {
-            self.layer_mut(&name).set_weights(w, b);
-        }
-        self.embed_mask = None;
-        self.embed_out = None;
-        self.features_cache = None;
-    }
-
-    /// Exports SGD momentum buffers as `(name, vel_w, vel_b)` in the same
-    /// stable order as [`Mlp::export_tensors`]. A checkpoint restoring a
-    /// mid-fine-tune model needs these to reproduce the next step exactly.
-    pub fn export_momentum(&self) -> Vec<(String, Vec<f32>, Vec<f32>)> {
-        let mut out = Vec::with_capacity(2 + 2 * self.blocks.len());
-        let dump = |name: String, d: &Dense, out: &mut Vec<(String, Vec<f32>, Vec<f32>)>| {
-            let (vw, vb) = d.momentum();
-            out.push((name, vw.to_vec(), vb.to_vec()));
-        };
-        dump("embed".into(), &self.embed, &mut out);
-        for (i, block) in self.blocks.iter().enumerate() {
-            dump(format!("block{i}.d1"), &block.d1, &mut out);
-            dump(format!("block{i}.d2"), &block.d2, &mut out);
-        }
-        dump("head".into(), &self.head, &mut out);
-        out
-    }
-
-    /// Restores momentum buffers from [`Mlp::export_momentum`]. Call
-    /// *after* [`Mlp::import_tensors`], which resets momentum.
-    ///
-    /// # Panics
-    /// Panics when a name or buffer length does not match this model.
-    pub fn import_momentum(&mut self, momentum: Vec<(String, Vec<f32>, Vec<f32>)>) {
-        let expected = 2 + 2 * self.blocks.len();
-        assert_eq!(momentum.len(), expected, "momentum tensor count mismatch");
-        for (name, vw, vb) in momentum {
-            self.layer_mut(&name).set_momentum(vw, vb);
-        }
-    }
-
-    /// Resolves a stable tensor name (`embed`, `block{i}.d1/.d2`, `head`)
-    /// to its layer.
-    fn layer_mut(&mut self, name: &str) -> &mut Dense {
-        match name {
-            "embed" => &mut self.embed,
-            "head" => &mut self.head,
-            other => {
-                let rest = other
-                    .strip_prefix("block")
-                    .unwrap_or_else(|| panic!("unknown tensor '{other}'"));
-                let (idx, which) = rest
-                    .split_once('.')
-                    .unwrap_or_else(|| panic!("malformed tensor name '{other}'"));
-                let idx: usize =
-                    idx.parse().unwrap_or_else(|_| panic!("malformed block index in '{other}'"));
-                let block = self.blocks.get_mut(idx).unwrap_or_else(|| panic!("no block {idx}"));
-                match which {
-                    "d1" => &mut block.d1,
-                    "d2" => &mut block.d2,
-                    _ => panic!("unknown tensor '{other}'"),
-                }
-            }
-        }
-    }
-
-    /// The frozen layers the quantized snapshot needs: embedding, per-block
-    /// `(d1, d2, uses_global_skip)`, and the head.
-    pub(crate) fn inference_parts(&self) -> (&Dense, Vec<(&Dense, &Dense, bool)>, &Dense) {
-        let blocks =
-            self.blocks.iter().map(|b| (&b.d1, &b.d2, b.uses_global_skip)).collect::<Vec<_>>();
-        (&self.embed, blocks, &self.head)
-    }
-
     fn for_each_chunk(&self, data: DataRef<'_>, f: impl FnMut(usize, (Matrix, Matrix))) {
         for_each_chunk(data, |batch| self.forward_inference(batch), f);
     }
@@ -427,7 +296,7 @@ pub fn argmax<T: PartialOrd + Copy>(row: &[T]) -> usize {
 mod tests {
     use super::*;
     use crate::arch::ArchPreset;
-    use crate::loss::{one_hot, softmax_cross_entropy};
+    use crate::loss::one_hot;
 
     fn toy_data() -> (Vec<f32>, Vec<u32>) {
         // Three well-separated clusters in 4-d.
@@ -468,64 +337,89 @@ mod tests {
         let targets = one_hot(data.labels(), 3);
         let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0 };
 
-        let logits0 = model.forward_train(&batch);
-        let (loss0, grad) = softmax_cross_entropy(&logits0, &targets);
-        model.backward(&grad);
-        model.apply_gradients(&sgd);
+        let loss0 = model.train_step(&batch, &targets, &sgd);
         let mut loss_prev = loss0;
         for _ in 0..30 {
-            let logits = model.forward_train(&batch);
-            let (loss, grad) = softmax_cross_entropy(&logits, &targets);
-            model.backward(&grad);
-            model.apply_gradients(&sgd);
-            loss_prev = loss;
+            loss_prev = model.train_step(&batch, &targets, &sgd);
         }
         assert!(loss_prev < loss0 * 0.5, "loss {loss0} -> {loss_prev}");
         assert!(model.accuracy(data) > 0.9);
     }
 
+    /// `model` with `delta` added to weight `idx` of layer `layer`.
+    fn nudged(model: &Mlp, layer: usize, idx: usize, delta: f32) -> Mlp {
+        let mut layers = model.layers().to_vec();
+        let (w, b, vel_w, vel_b) = model.layers()[layer].parts();
+        let mut data = w.data().to_vec();
+        data[idx] += delta;
+        layers[layer] =
+            Dense::from_parts(w.rows(), w.cols(), data, b.to_vec(), vel_w.to_vec(), vel_b.to_vec())
+                .expect("same shape");
+        let mut out = model.clone();
+        out.restore(&layers).expect("same architecture");
+        out
+    }
+
+    /// Central-difference check of the fused backward-and-step through
+    /// both skip topologies: one plain SGD step (momentum 0, decay 0)
+    /// moves each weight by `lr · ∂loss/∂w`, so the analytic gradient is
+    /// `(w_before − w_after) / lr`.
     #[test]
-    fn inference_matches_training_forward() {
-        let cfg = ArchPreset::resnet110_sim().config(4, 3);
-        let mut model = Mlp::new(&cfg, 2);
-        let (xs, labels) = toy_data();
-        let data = DataRef::new(&xs, &labels, 4);
-        let idx: Vec<usize> = (0..5).collect();
-        let batch = data.gather(&idx);
-        let train_logits = model.forward_train(&batch);
-        let (_, inf_logits) = model.forward_inference(&batch);
-        assert_eq!(train_logits.data(), inf_logits.data());
+    fn gradients_match_central_differences_for_both_connectivities() {
+        let x = Matrix::from_vec(2, 3, vec![0.4, -0.2, 0.9, -0.5, 0.3, 0.1]);
+        let targets = one_hot(&[0, 1], 2);
+        let loss_of = |m: &Mlp| softmax_cross_entropy(&m.forward_inference(&x).1, &targets).0;
+        let (lr, eps) = (1.0f32, 2e-3f32);
+        for connectivity in [Connectivity::Residual, Connectivity::DenselyConnected] {
+            let cfg = ModelConfig { input_dim: 3, classes: 2, width: 6, blocks: 2, connectivity };
+            let model = Mlp::new(&cfg, 4);
+            let mut stepped = model.clone();
+            stepped.train_step(&x, &targets, &SgdConfig { lr, momentum: 0.0, weight_decay: 0.0 });
+            let mut nonzero = 0;
+            for (layer, (before, after)) in model.layers().iter().zip(stepped.layers()).enumerate()
+            {
+                let (w0, w1) = (before.parts().0.data(), after.parts().0.data());
+                for idx in [0, w0.len() / 3, w0.len() / 2, w0.len() - 1] {
+                    let analytic = (w0[idx] - w1[idx]) / lr;
+                    let numeric = (loss_of(&nudged(&model, layer, idx, eps))
+                        - loss_of(&nudged(&model, layer, idx, -eps)))
+                        / (2.0 * eps);
+                    assert!(
+                        (numeric - analytic).abs() < 1e-3 + 0.02 * analytic.abs(),
+                        "{connectivity:?} layer {layer} w[{idx}]: numeric {numeric} vs analytic {analytic}"
+                    );
+                    nonzero += usize::from(analytic != 0.0);
+                }
+            }
+            assert!(nonzero >= 2 * model.layers().len(), "{connectivity:?}: gradients mostly zero");
+        }
     }
 
     #[test]
-    fn densely_connected_gradcheck() {
-        // End-to-end finite-difference check through the global skip path.
-        let cfg = ModelConfig {
-            input_dim: 3,
-            classes: 2,
-            width: 6,
-            blocks: 2,
-            connectivity: Connectivity::DenselyConnected,
-        };
-        let mut model = Mlp::new(&cfg, 4);
-        let x = Matrix::from_vec(2, 3, vec![0.4, -0.2, 0.9, -0.5, 0.3, 0.1]);
-        let targets = one_hot(&[0, 1], 2);
+    fn training_a_clone_moves_no_bit_of_the_original() {
+        let cfg = ArchPreset::tiny().config(4, 3);
+        let (xs, labels) = toy_data();
+        let data = DataRef::new(&xs, &labels, 4);
+        let batch = data.gather(&(0..30).collect::<Vec<_>>());
+        let targets = one_hot(&labels[..30], 3);
+        let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4 };
 
-        let logits = model.forward_train(&x);
-        let (_, grad) = softmax_cross_entropy(&logits, &targets);
-        model.backward(&grad);
-
-        // Perturb a single embed weight and verify the loss moves as the
-        // accumulated gradient predicts. We reach in through training: apply
-        // a tiny step with lr=eps along the gradient and check the loss drop.
-        let (loss_before, _) = softmax_cross_entropy(&model.forward_inference(&x).1, &targets);
-        let lr = 1e-2;
-        model.apply_gradients(&SgdConfig { lr, momentum: 0.0, weight_decay: 0.0 });
-        let (loss_after, _) = softmax_cross_entropy(&model.forward_inference(&x).1, &targets);
-        assert!(
-            loss_after < loss_before,
-            "gradient step must reduce loss: {loss_before} -> {loss_after}"
-        );
+        let mut model = Mlp::new(&cfg, 6);
+        for _ in 0..3 {
+            model.train_step(&batch, &targets, &sgd);
+        }
+        let frozen = model.layers().to_vec();
+        // A clone taken mid-training carries the momentum…
+        let mut clone = model.clone();
+        assert_eq!(clone.layers(), model.layers());
+        assert!(clone.layers().iter().any(|l| l.parts().2.iter().any(|v| *v != 0.0)));
+        // …training it leaves the original alone…
+        clone.train_step(&batch, &targets, &sgd);
+        assert_eq!(model.layers(), &frozen[..]);
+        assert_ne!(clone.layers(), model.layers());
+        // …and the original's next step is the very step the clone took.
+        model.train_step(&batch, &targets, &sgd);
+        assert_eq!(model.layers(), clone.layers());
     }
 
     #[test]
@@ -581,33 +475,39 @@ mod tests {
         let targets = one_hot(&labels[..30], 3);
         let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4 };
 
-        // Build non-trivial momentum, then snapshot.
+        // Build non-trivial momentum, then snapshot the walk.
         for _ in 0..3 {
-            let logits = model.forward_train(&batch);
-            let (_, grad) = softmax_cross_entropy(&logits, &targets);
-            model.backward(&grad);
-            model.apply_gradients(&sgd);
+            model.train_step(&batch, &targets, &sgd);
         }
-        let tensors = model.export_tensors();
-        let momentum = model.export_momentum();
+        let snapshot = model.layers().to_vec();
         assert!(
-            momentum.iter().any(|(_, vw, _)| vw.iter().any(|v| *v != 0.0)),
+            snapshot.iter().any(|l| l.parts().2.iter().any(|v| *v != 0.0)),
             "snapshot should carry live momentum"
         );
 
         let mut restored = Mlp::new(&cfg, 999);
-        restored.import_tensors(tensors);
-        restored.import_momentum(momentum);
+        restored.restore(&snapshot).expect("same architecture");
 
         // One more identical step on both models must agree bit-for-bit;
         // without momentum restore the velocity term would diverge.
         for m in [&mut model, &mut restored] {
-            let logits = m.forward_train(&batch);
-            let (_, grad) = softmax_cross_entropy(&logits, &targets);
-            m.backward(&grad);
-            m.apply_gradients(&sgd);
+            m.train_step(&batch, &targets, &sgd);
         }
         assert_eq!(model.predict_proba(data).data(), restored.predict_proba(data).data());
+    }
+
+    #[test]
+    fn restore_rejects_a_walk_that_does_not_fit() {
+        let mut model = Mlp::new(&ArchPreset::tiny().config(4, 3), 6);
+        let before = model.layers().to_vec();
+        let mut short = before.clone();
+        short.pop();
+        let mut swapped = before.clone();
+        swapped.swap(0, 1);
+        for bad in [&short, &swapped] {
+            assert!(model.restore(bad).is_err());
+            assert_eq!(model.layers(), &before[..], "a failed restore leaves the model alone");
+        }
     }
 
     #[test]

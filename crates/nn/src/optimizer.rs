@@ -37,12 +37,6 @@ impl SgdConfig {
             *p -= self.lr * *v;
         }
     }
-
-    /// Returns a copy with the learning rate scaled by `factor`
-    /// (used for warm-up/fine-tune schedules).
-    pub fn with_lr_scaled(&self, factor: f32) -> Self {
-        Self { lr: self.lr * factor, ..*self }
-    }
 }
 
 #[cfg(test)]
@@ -82,14 +76,5 @@ mod tests {
         let mut v2 = vec![0.0f32];
         cfg.step(&mut p2, &[0.0], &mut v2, false);
         assert_eq!(p2[0], 1.0);
-    }
-
-    #[test]
-    fn lr_scaling() {
-        let cfg = SgdConfig { lr: 0.2, momentum: 0.9, weight_decay: 0.1 };
-        let scaled = cfg.with_lr_scaled(0.5);
-        assert!((scaled.lr - 0.1).abs() < 1e-7);
-        assert_eq!(scaled.momentum, cfg.momentum);
-        assert_eq!(scaled.weight_decay, cfg.weight_decay);
     }
 }

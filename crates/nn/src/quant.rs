@@ -20,6 +20,7 @@
 //! probes them (`nn.quant_*`); removing them belongs to a benchmark PR
 //! that may edit `perf/`.
 
+use crate::arch::Connectivity;
 use crate::data::DataRef;
 use crate::dense::Dense;
 use crate::loss::softmax_inplace;
@@ -90,7 +91,7 @@ pub struct QuantizedDense {
 impl QuantizedDense {
     /// Quantizes a trained layer. The f32 layer is left untouched.
     pub fn from_dense(d: &Dense) -> Self {
-        let (w, b) = d.weights();
+        let (w, b, ..) = d.parts();
         let (in_dim, out_dim) = (d.in_dim(), d.out_dim());
         let mut wt = vec![0i16; out_dim * in_dim];
         let mut w_scales = vec![0.0f32; out_dim];
@@ -215,14 +216,14 @@ struct QuantizedBlock {
 impl QuantizedBlock {
     fn forward(&self, x: &Matrix, global_skip: Option<&Matrix>) -> Matrix {
         let mut h = self.d1.forward(x);
-        h.relu_inference();
+        h.relu();
         let mut y = self.d2.forward(&h);
         y.add_assign(x);
         if self.uses_global_skip {
             let g = global_skip.expect("dense connectivity requires the embedding output");
             y.add_assign(g);
         }
-        y.relu_inference();
+        y.relu();
         y
     }
 }
@@ -241,20 +242,18 @@ pub struct QuantizedMlp {
 impl QuantizedMlp {
     /// Quantizes every dense layer of a trained model.
     pub fn from_mlp(model: &Mlp) -> Self {
-        let (embed, blocks, head) = model.inference_parts();
+        let config = model.config();
+        let uses_global_skip = config.connectivity == Connectivity::DenselyConnected;
+        let mut layers = model.layers().iter().map(QuantizedDense::from_dense);
+        let mut next = || layers.next().expect("embed, two layers per block, head");
         Self {
-            classes: model.config().classes,
-            width: model.config().width,
-            embed: QuantizedDense::from_dense(embed),
-            blocks: blocks
-                .into_iter()
-                .map(|(d1, d2, uses_global_skip)| QuantizedBlock {
-                    d1: QuantizedDense::from_dense(d1),
-                    d2: QuantizedDense::from_dense(d2),
-                    uses_global_skip,
-                })
+            classes: config.classes,
+            width: config.width,
+            embed: next(),
+            blocks: (0..config.blocks)
+                .map(|_| QuantizedBlock { d1: next(), d2: next(), uses_global_skip })
                 .collect(),
-            head: QuantizedDense::from_dense(head),
+            head: next(),
         }
     }
 
@@ -262,7 +261,7 @@ impl QuantizedMlp {
     /// [`Mlp::forward_inference`].
     pub fn forward_inference(&self, x: &Matrix) -> (Matrix, Matrix) {
         let mut h = self.embed.forward(x);
-        h.relu_inference();
+        h.relu();
         let embed_out = h.clone();
         for block in &self.blocks {
             h = block.forward(&h, Some(&embed_out));

@@ -1,8 +1,9 @@
 //! Mini-batch trainer operating on index subsets of a flat dataset.
 //!
-//! ENLD never trains on a materialised copy of a subset: the contrastive
-//! sample set `C` changes every iteration, so the trainer takes an index
-//! list into the inventory's flat feature store.
+//! [`Trainer::fit_indices`] trains on an index list into a flat feature
+//! store without copying the subset; [`Trainer::fit`] is the same over
+//! every row. (The detector's `train_epoch` materialises its contrastive
+//! set `C`, which mixes rows of two stores, and calls `fit` on the copy.)
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -45,17 +46,6 @@ pub struct TrainHistory {
     pub train_loss: Vec<f32>,
     /// Validation accuracy per epoch (empty when no validation set given).
     pub val_acc: Vec<f32>,
-}
-
-impl TrainHistory {
-    /// Epoch index with the highest validation accuracy.
-    pub fn best_val_epoch(&self) -> Option<usize> {
-        self.val_acc
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
 }
 
 /// Stateful trainer; owns the shuffling RNG so runs are reproducible.
@@ -119,11 +109,7 @@ impl Trainer {
                 } else {
                     (x, targets)
                 };
-                let logits = model.forward_train(&x);
-                let (loss, grad) = softmax_cross_entropy(&logits, &targets);
-                model.backward(&grad);
-                model.apply_gradients(&sgd);
-                epoch_loss += loss;
+                epoch_loss += model.train_step(&x, &targets, &sgd);
                 batches += 1;
             }
             history.train_loss.push(epoch_loss / batches.max(1) as f32);
@@ -266,13 +252,6 @@ mod tests {
         let flat = run(1.0);
         let decayed = run(0.3);
         assert!(decayed >= flat, "decayed {decayed} vs flat {flat}");
-    }
-
-    #[test]
-    fn best_val_epoch() {
-        let h = TrainHistory { train_loss: vec![], val_acc: vec![0.1, 0.9, 0.5] };
-        assert_eq!(h.best_val_epoch(), Some(1));
-        assert_eq!(TrainHistory::default().best_val_epoch(), None);
     }
 
     #[test]

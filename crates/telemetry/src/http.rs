@@ -26,9 +26,11 @@
 //!
 //! There is deliberately no HTTP library: requests are `GET <path>`,
 //! responses are `Connection: close` with an explicit `Content-Length`,
-//! which is all a Prometheus scraper or `curl` needs.
+//! which is all a Prometheus scraper or `curl` needs. A request's line and
+//! headers are read through one 8 KiB budget; a head that exhausts it is
+//! answered `431` and the connection closed.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -223,21 +225,17 @@ fn query_usize(query: &str, key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    registry: &MetricsRegistry,
-    status: &dyn ObsStatus,
-    traces: Option<&TraceBuffer>,
-    monitor: Option<&Monitor>,
-    healthz_strict: bool,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let mut reader = BufReader::new(stream);
+/// Most bytes read for one request's line and headers together; ample
+/// for `GET /timeseries?window=…&tail=…` plus a scraper's headers.
+const REQUEST_HEAD_BUDGET: u64 = 8 * 1024;
+
+/// Reads the request line and drains the headers through one byte
+/// budget, so a client cannot grow the buffers without limit. `Ok(None)`
+/// when the budget ran out before the head ended.
+fn read_request_line(stream: impl Read) -> io::Result<Option<String>> {
+    let mut reader = BufReader::new(stream.take(REQUEST_HEAD_BUDGET));
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
+    reader.read_line(&mut request_line)?;
     // Drain headers so well-behaved clients see a clean close.
     let mut header = String::new();
     while reader.read_line(&mut header).is_ok() {
@@ -246,7 +244,32 @@ fn handle_connection(
         }
         header.clear();
     }
-    let mut stream = reader.into_inner();
+    Ok((reader.get_ref().limit() > 0).then_some(request_line))
+}
+
+fn handle_connection(
+    mut stream: TcpStream,
+    registry: &MetricsRegistry,
+    status: &dyn ObsStatus,
+    traces: Option<&TraceBuffer>,
+    monitor: Option<&Monitor>,
+    healthz_strict: bool,
+) {
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+    let request_line = match read_request_line(&stream) {
+        Ok(Some(line)) => line,
+        Ok(None) => {
+            respond(
+                &mut stream,
+                "431 Request Header Fields Too Large",
+                "application/json",
+                "{\"error\":\"request head exceeds 8 KiB\"}",
+            );
+            return;
+        }
+        Err(_) => return,
+    };
 
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
@@ -357,7 +380,6 @@ mod tests {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(request.as_bytes()).expect("send");
         let mut raw = String::new();
-        use std::io::Read as _;
         stream.read_to_string(&mut raw).expect("read");
         let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
         let code =
@@ -406,6 +428,58 @@ mod tests {
         assert_eq!(code, 405);
 
         server.shutdown();
+    }
+
+    /// Sends `request` (the server may hang up mid-send) and returns the
+    /// status code, if one came back before the connection ended.
+    fn send_oversized(addr: SocketAddr, request: &[u8]) -> Option<u16> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let _ = stream.write_all(request);
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        String::from_utf8_lossy(&raw).split_whitespace().nth(1)?.parse().ok()
+    }
+
+    #[test]
+    fn newline_free_flood_is_cut_off_and_the_server_keeps_serving() {
+        let server = ObsServer::bind("127.0.0.1:0", metrics::global(), Arc::new(NullStatus::new()))
+            .expect("bind");
+        let addr = server.local_addr();
+        // Hanging up on a client that is still sending may reset the
+        // connection and swallow the 431 itself.
+        let code = send_oversized(addr, &vec![b'a'; 1 << 20]);
+        assert!(matches!(code, None | Some(431)), "got {code:?}");
+        let (code, _, _) = get(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(code, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn headers_beyond_the_budget_are_rejected() {
+        let server = ObsServer::bind("127.0.0.1:0", metrics::global(), Arc::new(NullStatus::new()))
+            .expect("bind");
+        let mut request = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        while request.len() < 2 * REQUEST_HEAD_BUDGET as usize {
+            request.extend_from_slice(b"X-Padding: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+        }
+        request.extend_from_slice(b"\r\n");
+        let code = send_oversized(server.local_addr(), &request);
+        assert!(
+            matches!(code, None | Some(431)),
+            "a well-formed line must not be served: {code:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn request_head_reader_stops_at_its_budget() {
+        // No sockets: exactly what is consumed, and what comes back.
+        let mut flood = io::repeat(b'a').take(1 << 20);
+        assert_eq!(read_request_line(&mut flood).expect("reads"), None);
+        assert_eq!(flood.limit(), (1 << 20) - REQUEST_HEAD_BUDGET, "read past the budget");
+        let fits = b"GET /workers HTTP/1.1\r\nHost: x\r\n\r\nbody";
+        let line = read_request_line(&fits[..]).expect("reads").expect("within budget");
+        assert_eq!(line, "GET /workers HTTP/1.1\r\n");
     }
 
     #[test]
