@@ -100,6 +100,7 @@ impl Enld {
         let mut setup_span = telemetry::span("enld.setup")
             .field("inventory", inventory.len())
             .field("classes", inventory.classes())
+            .field("kernel", enld_nn::matrix::kernel())
             .entered();
         let (i_t, i_c) = split_half(inventory, config.seed.wrapping_add(1000));
 

@@ -45,6 +45,10 @@
 //! assert!(acc > 0.9, "accuracy {acc}");
 //! ```
 
+// Two runtime-dispatched SIMD sites carry `#[allow(unsafe_code)]`:
+// `matrix::gemm_packed` and `quant::gemv_i16`. A third fails the build.
+#![deny(unsafe_code)]
+
 pub mod arch;
 pub mod data;
 pub mod dense;

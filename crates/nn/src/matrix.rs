@@ -17,6 +17,15 @@
 //! finite inputs and for every tile size. The products are sequential
 //! leaf kernels: callers that want threads split *rows* above them
 //! (`model::for_each_chunk`), which the contract makes invisible in the bits.
+//!
+//! **Vector width**: the product body (`gemm_body`) is compiled twice
+//! from one source — once for the build's target (128-bit SSE2 on a
+//! default x86_64 build) and once with AVX2 enabled — and `gemm_packed`
+//! picks one per product by asking the CPU. Width decides how many
+//! accumulators one instruction updates, not what enters an accumulator
+//! or when (Rust never fuses `a * b + c`, and the body uses no
+//! `mul_add`), so the contract above holds on both and they return the
+//! same bits; [`kernel`] names the one in use.
 
 use std::fmt;
 
@@ -35,7 +44,8 @@ fn pack_row_panels(b: &Matrix) -> Vec<f32> {
     let (k, n) = (b.rows, b.cols);
     let np = n.div_ceil(NR);
     let mut packed = vec![0.0f32; np * k * NR];
-    for (p, panel) in packed.chunks_exact_mut(k * NR).enumerate() {
+    for p in 0..np {
+        let panel = &mut packed[p * k * NR..(p + 1) * k * NR];
         let j0 = p * NR;
         let jw = NR.min(n - j0);
         for kk in 0..k {
@@ -53,7 +63,8 @@ fn pack_col_panels(b: &Matrix) -> Vec<f32> {
     let (n, k) = (b.rows, b.cols);
     let np = n.div_ceil(NR);
     let mut packed = vec![0.0f32; np * k * NR];
-    for (p, panel) in packed.chunks_exact_mut(k * NR).enumerate() {
+    for p in 0..np {
+        let panel = &mut packed[p * k * NR..(p + 1) * k * NR];
         let j0 = p * NR;
         let jw = NR.min(n - j0);
         for c in 0..jw {
@@ -70,7 +81,7 @@ fn pack_col_panels(b: &Matrix) -> Vec<f32> {
 /// panel[kk*NR + c]` with `k = panel.len()/NR`. Accumulators are
 /// fixed-size `[f32; NR]` rows so the `c` loop vectorizes; `kk` ascends
 /// with one accumulator per element, preserving the naive FP order.
-#[inline]
+#[inline(always)]
 fn microkernel(a: &[f32], mr: usize, panel: &[f32], out: &mut [f32], out_stride: usize, jw: usize) {
     debug_assert!((1..=MR).contains(&mr) && (1..=NR).contains(&jw));
     let k = panel.len() / NR;
@@ -88,15 +99,48 @@ fn microkernel(a: &[f32], mr: usize, panel: &[f32], out: &mut [f32], out_stride:
     }
 }
 
-/// Multiplies `rows` rows of `a` (row-major, stride `k`, starting at
-/// `a[0]`) against pre-packed panels of the k×n right operand, writing
-/// the `rows`×`n` result into `out`.
-fn gemm_packed(a: &[f32], rows: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
+/// The left operand of a packed product, as its caller stores it.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// m×k row-major: output row `i` reads `a[i*k..(i+1)*k]`.
+    Rows(&'a [f32]),
+    /// k×m row-major, multiplied as its transpose (`matmul_at`).
+    Cols(&'a [f32]),
+}
+
+/// Multiplies the m×k left operand against pre-packed panels of the k×n
+/// right operand, writing the m×n result into `out`.
+///
+/// This is the one source of the product. `#[inline(always)]` (here and
+/// on [`microkernel`]) is what lets it be compiled once per instruction
+/// set: it has no code of its own, only the copies inside
+/// [`gemm_packed`] and its AVX2 entry, each vectorized at the width of
+/// the function it lands in.
+#[inline(always)]
+fn gemm_body(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
     let np = n.div_ceil(NR);
+    // A transposed operand is gathered one MR-row tile at a time into
+    // contiguous scratch so the microkernel reads both operands at unit
+    // stride.
+    let mut tile = match lhs {
+        Lhs::Rows(_) => Vec::new(),
+        Lhs::Cols(_) => vec![0.0f32; MR * k],
+    };
     let mut ri = 0;
-    while ri < rows {
-        let mr = MR.min(rows - ri);
-        let a_tile = &a[ri * k..];
+    while ri < m {
+        let mr = MR.min(m - ri);
+        let a_tile = match lhs {
+            Lhs::Rows(a) => &a[ri * k..],
+            Lhs::Cols(a) => {
+                for kk in 0..k {
+                    let src = &a[kk * m + ri..kk * m + ri + mr];
+                    for (r, &v) in src.iter().enumerate() {
+                        tile[r * k + kk] = v;
+                    }
+                }
+                &tile[..]
+            }
+        };
         for p in 0..np {
             let j0 = p * NR;
             let jw = NR.min(n - j0);
@@ -105,6 +149,50 @@ fn gemm_packed(a: &[f32], rows: usize, k: usize, packed: &[f32], n: usize, out: 
         }
         ri += mr;
     }
+}
+
+/// Whether the products run the AVX2 copy of [`gemm_body`] on this CPU.
+/// The standard library caches the answer after the first `cpuid`.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// The compiled body the three products run on this CPU: `"avx2"`, or
+/// `"baseline"` for the build's own target. Both return the same bits;
+/// this says which one's speed to expect.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return "avx2";
+    }
+    "baseline"
+}
+
+/// The single dispatch point under `matmul`, `matmul_at` and
+/// `matmul_bt`: one feature test per product, then [`gemm_body`] at the
+/// widest width it was compiled for that the CPU has.
+#[allow(unsafe_code)]
+fn gemm_packed(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize) -> Matrix {
+    /// [`gemm_body`] compiled with 256-bit vectors.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
+        gemm_body(lhs, m, k, packed, n, out);
+    }
+
+    let mut out = Matrix::zeros(m, n);
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: guarded by the runtime AVX2 check above.
+        unsafe { avx2(lhs, m, k, packed, n, &mut out.data) };
+        return out;
+    }
+    gemm_body(lhs, m, k, packed, n, &mut out.data);
+    out
 }
 
 /// Row-major dense `f32` matrix.
@@ -166,48 +254,24 @@ impl Matrix {
     /// `self @ other` — (m×k) · (k×n) → (m×n).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner-dim mismatch");
-        let (m, n) = (self.rows, other.cols);
-        let k = self.cols;
         let packed = pack_row_panels(other);
-        let mut out = Matrix::zeros(m, n);
-        gemm_packed(&self.data, m, k, &packed, n, &mut out.data);
-        out
+        gemm_packed(Lhs::Rows(&self.data), self.rows, self.cols, &packed, other.cols)
     }
 
     /// `selfᵀ @ other` — (k×m)ᵀ·(k×n) → (m×n), without materialising the
     /// transpose. Used for weight gradients (`xᵀ · dy`).
     pub fn matmul_at(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_at outer-dim mismatch");
-        let (k, m, n) = (self.rows, self.cols, other.cols);
         let packed = pack_row_panels(other);
-        let mut out = Matrix::zeros(m, n);
-        // Gather the MR-row Aᵀ tile into contiguous scratch so the
-        // microkernel reads both operands at unit stride.
-        let mut tile = vec![0.0f32; MR * k];
-        let mut ri = 0;
-        while ri < m {
-            let mr = MR.min(m - ri);
-            for kk in 0..k {
-                let src = &self.data[kk * m + ri..kk * m + ri + mr];
-                for (r, &v) in src.iter().enumerate() {
-                    tile[r * k + kk] = v;
-                }
-            }
-            gemm_packed(&tile, mr, k, &packed, n, &mut out.data[ri * n..]);
-            ri += mr;
-        }
-        out
+        gemm_packed(Lhs::Cols(&self.data), self.cols, self.rows, &packed, other.cols)
     }
 
     /// `self @ otherᵀ` — (m×k)·(n×k)ᵀ → (m×n), without materialising the
     /// transpose. Used for input gradients (`dy · Wᵀ`).
     pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_bt inner-dim mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
         let packed = pack_col_panels(other);
-        let mut out = Matrix::zeros(m, n);
-        gemm_packed(&self.data, m, k, &packed, n, &mut out.data);
-        out
+        gemm_packed(Lhs::Rows(&self.data), self.rows, self.cols, &packed, other.rows)
     }
 
     /// Adds `bias` (length = cols) to every row in place.
@@ -390,20 +454,92 @@ mod tests {
         )
     }
 
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(a.cols, a.rows);
+        for r in 0..a.rows {
+            for c in 0..a.cols {
+                t.data[c * a.rows + r] = a.data[r * a.cols + c];
+            }
+        }
+        t
+    }
+
+    /// `gemm_body` as this module compiles it — the build's own target,
+    /// whatever the CPU — where `gemm_packed` asks the CPU first.
+    fn baseline(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize) -> Matrix {
+        let mut out = Matrix::zeros(m, n);
+        gemm_body(lhs, m, k, packed, n, &mut out.data);
+        out
+    }
+
+    /// All three products against the scalar reference, and the
+    /// baseline-compiled body against the dispatched entry, bit for bit.
+    /// On a CPU without AVX2 (or a build whose target already has it)
+    /// the two bodies are the same code and the second half is trivially
+    /// true; where they differ it is the proof that width cannot change
+    /// a bit.
     #[test]
     fn packed_kernels_match_the_naive_reference_bitwise() {
         // Ragged shapes: tiles narrower than MR/NR, prime dims, K smaller
-        // than a panel row, and one spanning many tiles and panels.
-        for &(mm, kk, nn) in
-            &[(1, 1, 1), (3, 5, 7), (17, 13, 31), (4, 2, 16), (5, 1, 33), (96, 64, 80)]
-        {
+        // than a panel row, and one spanning many tiles and panels; the
+        // hot shapes of a fine-tune step and a scan; one narrower than a
+        // tile in every dimension.
+        for &(mm, kk, nn) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (17, 13, 31),
+            (4, 2, 16),
+            (5, 1, 33),
+            (96, 64, 80),
+            (32, 48, 96),
+            (32, 96, 96),
+            (32, 96, 100),
+            (256, 96, 96),
+            (12, 96, 100),
+            (3, 2, 11),
+        ] {
             let a = pattern(mm, kk, 7, 23, 0.1);
             let b = pattern(kk, nn, 5, 19, 0.2);
-            assert_eq!(
-                a.matmul(&b).data(),
-                a.matmul_naive(&b).data(),
-                "matmul {mm}x{kk}x{nn} diverged from reference"
-            );
+            let (at, bt) = (transpose(&a), transpose(&b));
+            let want = a.matmul_naive(&b);
+            let shape = format!("{mm}x{kk}x{nn}");
+            let (rows, cols) = (pack_row_panels(&b), pack_col_panels(&bt));
+            for (product, dispatched, lhs, packed) in [
+                ("matmul", a.matmul(&b), Lhs::Rows(&a.data), &rows),
+                ("matmul_at", at.matmul_at(&b), Lhs::Cols(&at.data), &rows),
+                ("matmul_bt", a.matmul_bt(&bt), Lhs::Rows(&a.data), &cols),
+            ] {
+                assert_eq!(dispatched, want, "{product} {shape} diverged from reference");
+                assert_eq!(
+                    baseline(lhs, mm, kk, packed, nn),
+                    dispatched,
+                    "baseline body of {product} {shape} diverged from the dispatched one"
+                );
+            }
         }
+    }
+
+    /// An empty sum is zero: a product over inner dimension 0 is the
+    /// m×n zero matrix, from either body (the packers used to panic on a
+    /// zero chunk size).
+    #[test]
+    fn products_over_an_empty_inner_dimension_are_zero() {
+        let (a, b) = (Matrix::zeros(2, 0), Matrix::zeros(0, 3));
+        let (at, bt) = (Matrix::zeros(0, 2), Matrix::zeros(3, 0));
+        let zero = Matrix::zeros(2, 3);
+        assert_eq!(a.matmul(&b), zero);
+        assert_eq!(at.matmul_at(&b), zero);
+        assert_eq!(a.matmul_bt(&bt), zero);
+        assert_eq!(baseline(Lhs::Rows(&a.data), 2, 0, &pack_row_panels(&b), 3), zero);
+        assert_eq!(baseline(Lhs::Cols(&at.data), 2, 0, &pack_col_panels(&bt), 3), zero);
+    }
+
+    #[test]
+    fn kernel_names_what_the_cpu_reports() {
+        #[cfg(target_arch = "x86_64")]
+        let want = if std::arch::is_x86_feature_detected!("avx2") { "avx2" } else { "baseline" };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = "baseline";
+        assert_eq!(kernel(), want);
     }
 }

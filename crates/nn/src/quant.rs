@@ -135,6 +135,7 @@ impl QuantizedDense {
 /// `k = 2^15` keeps the total far from overflow), which means the SIMD
 /// and scalar paths below return identical bits no matter how the adds
 /// are grouped — runtime dispatch cannot introduce nondeterminism.
+#[allow(unsafe_code)]
 fn gemv_i16(xq: &[i16], wt: &[i16], k: usize, acc: &mut [i32]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -156,6 +157,7 @@ fn gemv_i16_scalar(xq: &[i16], wt: &[i16], k: usize, acc: &mut [i32]) {
 /// to `i16` at quantization time.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
 unsafe fn gemv_i16_avx2(xq: &[i16], wt: &[i16], k: usize, acc: &mut [i32]) {
     use std::arch::x86_64::*;
 

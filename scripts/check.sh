@@ -30,14 +30,18 @@ bash scripts/chaos_smoke.sh
 echo "==> ann index CLI smoke (hnsw build + crash mid-persist + rebuild-free resume)"
 bash scripts/ann_smoke.sh
 
-echo "==> perf smoke (harness tests, nine crates' own tests offline, every workload once, no lock drift)"
+echo "==> perf smoke (harness tests, nine crates' own tests offline, every workload once + verdict hashes, no lock drift)"
 (cd perf && cargo test --offline)
 # Cargo refuses `test -p` on a linked crate that has any dev-dependency, so
 # a re-added one fails here instead of silently un-running the crate offline.
 cargo test --offline --manifest-path perf/Cargo.toml \
     -p enld-chaos -p enld-telemetry -p enld-par -p enld-serve -p enld-ann \
     -p enld-nn -p enld-lake -p enld-baselines -p enld-core
-bash perf/run.sh --smoke
+# Width independence: every bitwise test of enld-nn must also hold when the
+# whole crate, element-wise loops included, is compiled at the host's widest ISA.
+RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=perf/target/native \
+    cargo test --offline --manifest-path perf/Cargo.toml -p enld-nn
+bash scripts/perf_smoke.sh
 git diff --exit-code -- perf/Cargo.lock
 
 echo "==> cargo doc --no-deps (warnings are errors)"

@@ -224,10 +224,10 @@ fn detect_phases_are_the_direct_children_of_its_span_and_cover_it() {
     // about microsecond jitter.
     let preset = DatasetPreset::test_sim();
     let mut lake = DataLake::build(&LakeConfig { preset, noise_rate: 0.2, seed: 105 });
-    let mut enld = Enld::init(lake.inventory(), &EnldConfig::fast_test());
     enld_telemetry::reset();
     let sink = Arc::new(PhaseSink { spans: Mutex::new(Vec::new()) });
     enld_telemetry::install(Arc::clone(&sink) as Arc<dyn Sink>);
+    let mut enld = Enld::init(lake.inventory(), &EnldConfig::fast_test());
     for _ in 0..ARRIVALS {
         let req = lake.next_request().expect("queued");
         let _ = enld.detect(&req.data);
@@ -235,6 +235,11 @@ fn detect_phases_are_the_direct_children_of_its_span_and_cover_it() {
     enld_telemetry::reset();
     drop(guard);
     let spans = sink.spans.lock().unwrap().clone();
+
+    // The setup span says which compiled product body this box runs.
+    let setup = spans.iter().find(|s| s.name == "enld.setup").expect("setup span");
+    let kernel = format!("\"{}\"", enld_nn::matrix::kernel());
+    assert!(setup.fields.contains(&("kernel".to_owned(), kernel)), "{:?}", setup.fields);
 
     let roots: Vec<&OwnedSpan> = spans.iter().filter(|s| s.name == "enld.detect").collect();
     assert_eq!(roots.len(), ARRIVALS);
