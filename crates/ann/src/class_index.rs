@@ -1,17 +1,15 @@
 //! Per-class sharded HNSW index with the same query surface as
-//! `enld_knn::ClassIndex`, plus the incremental operations the KD-tree
-//! backend cannot offer: `insert_batch` patches arriving samples into the
-//! existing graphs, `remove` tombstones and repairs, and
+//! `enld_knn::ClassIndex`, plus what the KD-tree backend does not offer:
 //! `to_bytes`/`from_bytes` persist the whole structure (versioned and
 //! checksummed) so a checkpoint resume skips the rebuild entirely.
 //!
 //! # Shard ownership and determinism
 //!
-//! Each class label owns one [`HnswShard`]. Builds and batched updates
-//! group rows by label first, then run **one task per shard** over
-//! `enld-par`; inside a shard every mutation is sequential and every
-//! ordering decision is deterministic, so the resulting graphs — and all
-//! queries — are bit-identical at any thread count. Batched queries are
+//! Each class label owns one [`HnswShard`]. A build groups rows by label
+//! first, then runs **one task per shard** over `enld-par`; inside a
+//! shard every insert is sequential and every ordering decision is
+//! deterministic, so the resulting graphs — and all queries — are
+//! bit-identical at any thread count. Batched queries are
 //! read-only and parallelise over fixed-size query chunks exactly like
 //! the exact backend.
 
@@ -26,8 +24,10 @@ use crate::shard::{splitmix64, HnswShard, SearchStats, GOLDEN};
 
 /// Magic prefix of a serialised index blob.
 const MAGIC: [u8; 8] = *b"ENLDANNX";
-/// Bump on any layout change; decode rejects other versions.
-const FORMAT_VERSION: u32 = 1;
+/// Bump on any layout change; decode rejects other versions. Version 2
+/// dropped v1's per-shard insertion counter, live count and tombstone
+/// flags when the delete path went: the index is rebuilt, never edited.
+const FORMAT_VERSION: u32 = 2;
 
 /// Queries per parallel task in [`AnnClassIndex::k_nearest_in_class_batch`]
 /// (same chunking as the exact backend: a preset-scale selection round is
@@ -37,11 +37,11 @@ const QUERY_BATCH: usize = 1024;
 /// Self-queries sampled by [`AnnClassIndex::recall_probe`].
 const PROBE_QUERIES: usize = 16;
 
-/// One parallel update task: the shard moved out of the map plus its
+/// One parallel insert task: the shard moved out of the map plus its
 /// `(global, row)` additions.
 type ShardWork = (u32, HnswShard, Vec<(usize, usize)>);
 
-/// Incremental approximate per-class neighbour index.
+/// Approximate per-class neighbour index.
 #[derive(Debug, Clone)]
 pub struct AnnClassIndex {
     shards: BTreeMap<u32, HnswShard>,
@@ -71,21 +71,16 @@ impl AnnClassIndex {
         index
     }
 
-    /// Creates an empty index (shards appear as labels arrive).
-    pub fn new(dim: usize, params: AnnParams) -> Self {
-        assert!(dim > 0, "dim must be positive");
-        Self { shards: BTreeMap::new(), dim, params }
-    }
-
     fn shard_seed(params: &AnnParams, label: u32) -> u64 {
         splitmix64(params.seed ^ (label as u64).wrapping_mul(GOLDEN))
     }
 
-    /// Patches a batch of rows into the index without rebuilding: rows are
-    /// grouped by label, then each affected shard absorbs its rows
-    /// sequentially while distinct shards run in parallel. Row order
-    /// within a label follows the input, so the result is independent of
-    /// the thread count *and* identical to one-at-a-time inserts.
+    /// Adds a batch of rows to the index ([`AnnClassIndex::build`] is this
+    /// call on an empty index): rows are grouped by label, then each
+    /// affected shard absorbs its rows sequentially while distinct shards
+    /// run in parallel. Row order within a label follows the input, so the
+    /// result is independent of the thread count *and* identical to
+    /// building over all the rows at once.
     ///
     /// # Panics
     /// Panics on shape mismatch.
@@ -124,33 +119,17 @@ impl AnnClassIndex {
         metrics::global().counter("enld.ann.inserts_total").add(labels.len() as u64);
     }
 
-    /// Inserts one sample. Prefer [`AnnClassIndex::insert_batch`] for
-    /// arrivals — it parallelises across classes.
-    pub fn insert(&mut self, label: u32, global: usize, point: &[f32]) {
-        self.insert_batch(point, &[label], &[global]);
-    }
-
-    /// Tombstones `global` in class `label` and repairs the graph around
-    /// it. Returns `false` when the sample is not (or no longer) indexed.
-    pub fn remove(&mut self, label: u32, global: usize) -> bool {
-        let removed = self.shards.get_mut(&label).is_some_and(|s| s.remove(global));
-        if removed {
-            metrics::global().counter("enld.ann.deletes_total").inc();
-        }
-        removed
-    }
-
     /// Classes present in the index, ascending.
     pub fn classes(&self) -> impl Iterator<Item = u32> + '_ {
         self.shards.keys().copied()
     }
 
-    /// Live samples of `label`.
+    /// Indexed samples of `label`.
     pub fn class_len(&self, label: u32) -> usize {
         self.shards.get(&label).map_or(0, |s| s.len())
     }
 
-    /// Total live samples.
+    /// Total indexed samples.
     pub fn len(&self) -> usize {
         self.shards.values().map(|s| s.len()).sum()
     }
@@ -212,28 +191,18 @@ impl AnnClassIndex {
     pub fn recall_probe(&self, k: usize) -> f64 {
         let mut found = 0usize;
         let mut total = 0usize;
-        let live_shards: Vec<&HnswShard> = self.shards.values().filter(|s| !s.is_empty()).collect();
-        if !live_shards.is_empty() {
-            let per_shard = PROBE_QUERIES.div_ceil(live_shards.len());
-            for shard in live_shards {
-                let probes: Vec<usize> = shard.live_globals().take(per_shard).collect();
-                let live: Vec<usize> = shard.live_globals().collect();
-                for global in probes {
-                    let query = shard.point_of(global).expect("probe point is live");
-                    let (hits, _) = shard.k_nearest(query, k);
-                    let mut exact: Vec<(f32, usize)> = live
-                        .iter()
-                        .map(|&g| {
-                            let p = shard.point_of(g).expect("live point");
-                            let d: f32 = p.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-                            (d, g)
-                        })
-                        .collect();
-                    exact.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                    let truth: Vec<usize> = exact.iter().take(k).map(|&(_, g)| g).collect();
-                    found += hits.iter().filter(|h| truth.contains(&h.index)).count();
-                    total += truth.len();
-                }
+        let per_shard = PROBE_QUERIES.div_ceil(self.shards.len().max(1));
+        for shard in self.shards.values() {
+            for (_, query) in shard.nodes().take(per_shard) {
+                let (hits, _) = shard.k_nearest(query, k);
+                let mut exact: Vec<(f32, usize)> = shard
+                    .nodes()
+                    .map(|(g, p)| (p.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum(), g))
+                    .collect();
+                exact.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                let truth: Vec<usize> = exact.iter().take(k).map(|&(_, g)| g).collect();
+                found += hits.iter().filter(|h| truth.contains(&h.index)).count();
+                total += truth.len();
             }
         }
         let recall = if total == 0 { 1.0 } else { found as f64 / total as f64 };
@@ -296,22 +265,6 @@ impl AnnClassIndex {
 }
 
 impl NeighborIndex for AnnClassIndex {
-    fn class_labels(&self) -> Vec<u32> {
-        self.classes().collect()
-    }
-
-    fn class_len(&self, label: u32) -> usize {
-        AnnClassIndex::class_len(self, label)
-    }
-
-    fn len(&self) -> usize {
-        AnnClassIndex::len(self)
-    }
-
-    fn k_nearest_in_class(&self, label: u32, query: &[f32], k: usize) -> Vec<Neighbor> {
-        AnnClassIndex::k_nearest_in_class(self, label, query, k)
-    }
-
     fn k_nearest_in_class_batch(
         &self,
         labels: &[u32],
@@ -396,35 +349,19 @@ mod tests {
     }
 
     #[test]
-    fn remove_then_query_skips_sample() {
-        let (features, labels, keep) = random_instance(80, 4, 2, 9);
-        let mut ann = AnnClassIndex::build(&features, 4, &labels, &keep, AnnParams::default());
-        let victim_row = 17usize;
-        let label = labels[victim_row];
-        let global = keep[victim_row];
-        assert!(ann.remove(label, global));
-        assert!(!ann.remove(label, global));
-        assert!(!ann.remove(99, global), "absent class");
-        let hits =
-            ann.k_nearest_in_class(label, &features[victim_row * 4..(victim_row + 1) * 4], 10);
-        assert!(hits.iter().all(|h| h.index != global));
-    }
-
-    #[test]
     fn recall_probe_is_perfect_on_self_queries_with_wide_beam() {
         let (features, labels, keep) = random_instance(150, 8, 3, 4);
         let params = AnnParams { ef_search: 400, ..AnnParams::default() };
         let ann = AnnClassIndex::build(&features, 8, &labels, &keep, params);
         let recall = ann.recall_probe(3);
         assert!(recall >= 0.99, "self-query recall {recall}");
-        assert_eq!(AnnClassIndex::new(8, params).recall_probe(3), 1.0);
+        assert_eq!(AnnClassIndex::build(&[], 8, &[], &[], params).recall_probe(3), 1.0);
     }
 
     #[test]
     fn bytes_roundtrip_preserves_queries_and_accepts_updates() {
         let (features, labels, keep) = random_instance(180, 10, 4, 6);
-        let mut ann = AnnClassIndex::build(&features, 10, &labels, &keep, AnnParams::default());
-        ann.remove(labels[3], keep[3]);
+        let ann = AnnClassIndex::build(&features, 10, &labels, &keep, AnnParams::default());
         let blob = ann.to_bytes();
         let mut back = AnnClassIndex::from_bytes(&blob).unwrap();
         assert_eq!(back.len(), ann.len());
@@ -433,7 +370,7 @@ mod tests {
         for c in ann.classes() {
             assert_eq!(back.k_nearest_in_class(c, q, 3), ann.k_nearest_in_class(c, q, 3));
         }
-        back.insert(labels[0], 9999, q);
+        back.insert_batch(q, &labels[..1], &[9999]);
         assert_eq!(back.len(), ann.len() + 1);
     }
 
@@ -455,59 +392,22 @@ mod tests {
         let mut trailing = blob.clone();
         trailing.push(0);
         assert!(AnnClassIndex::from_bytes(&trailing).is_err(), "declared length");
+        // v1 carried state this build no longer reads.
+        let payload = durable::open(&MAGIC, FORMAT_VERSION, &blob).unwrap();
+        let err = AnnClassIndex::from_bytes(&durable::seal(&MAGIC, 1, payload)).unwrap_err();
+        assert!(err.contains("version 1"), "{err}");
     }
 
-    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/ann_v1.bin");
+    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/ann_v2.bin");
 
     /// The layout proof, as `ckpt_v2_in_flight.bin` is for the
-    /// checkpoint: a blob the previous release wrote (a seeded build of 40
-    /// points in 2 classes at dim 4, then one `remove`) decodes and
-    /// re-encodes to the same bytes.
+    /// checkpoint: a committed blob (a seeded build of 40 points in 2
+    /// classes at dim 4) decodes and re-encodes to the same bytes.
     #[test]
-    fn committed_v1_fixture_round_trips_byte_identically() {
+    fn committed_v2_fixture_round_trips_byte_identically() {
         let ann = AnnClassIndex::from_bytes(FIXTURE).expect("fixture decodes");
-        assert_eq!((ann.dim(), ann.classes().count(), ann.len()), (4, 2, 39));
+        assert_eq!((ann.dim(), ann.classes().count(), ann.len()), (4, 2, 40));
         assert_eq!(ann.to_bytes(), FIXTURE);
-    }
-
-    /// Payload offset of the first set tombstone byte, walking the layout
-    /// `to_bytes` writes.
-    fn first_dead_flag(payload: &[u8]) -> usize {
-        let mut dec = Dec::new(payload);
-        let u64s = |dec: &mut Dec<'_>, n: usize| {
-            for _ in 0..n {
-                dec.u64().unwrap();
-            }
-        };
-        u64s(&mut dec, 5); // dim, m, ef_construction, ef_search, seed
-        for _ in 0..dec.usize().unwrap() {
-            dec.u32().unwrap(); // label
-            u64s(&mut dec, 8); // dim, m, ef_construction, ef_search, seed, shard seed, inserted, live
-            dec.u32().unwrap(); // entry
-            dec.f32_vec().unwrap(); // points
-            dec.usize_vec().unwrap(); // globals
-            dec.u8_vec().unwrap(); // levels
-            let flags = payload.len() - dec.remaining() + 8; // past the length prefix
-            if let Some(i) = dec.bool_vec().unwrap().iter().position(|&d| d) {
-                return flags + i;
-            }
-            for _ in 0..dec.usize().unwrap() {
-                for _ in 0..dec.usize().unwrap() {
-                    dec.u32_vec().unwrap(); // one layer's links
-                }
-            }
-        }
-        panic!("the fixture holds a tombstone")
-    }
-
-    #[test]
-    fn a_tombstone_byte_other_than_0_or_1_is_rejected() {
-        let mut payload = durable::open(&MAGIC, FORMAT_VERSION, FIXTURE).unwrap().to_vec();
-        let at = first_dead_flag(&payload);
-        payload[at] = 2;
-        let err = AnnClassIndex::from_bytes(&durable::seal(&MAGIC, FORMAT_VERSION, &payload))
-            .expect_err("a dead flag of 2 is corruption");
-        assert!(err.contains("bool byte 2"), "{err}");
     }
 
     #[test]

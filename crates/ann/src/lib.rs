@@ -1,26 +1,25 @@
-//! `enld-ann` — incremental approximate nearest-neighbour index.
+//! `enld-ann` — approximate nearest-neighbour index.
 //!
 //! ENLD's contrastive sampling (Alg. 2) answers "k nearest high-quality
-//! samples of class `j`" queries. The exact per-class KD-trees are rebuilt
-//! from scratch whenever the inventory or the model changes — fine at the
-//! paper's 10k–100k scale, a wall at data-lake scale. This crate supplies
-//! the incremental alternative behind the `--index hnsw` flag:
+//! samples of class `j`" queries. This crate supplies the approximate
+//! alternative to the exact per-class KD-trees behind the `--index hnsw`
+//! flag. `H` changes only when Alg. 4 retrains the model, which moves
+//! every feature, so the index is built, queried and persisted, never
+//! edited:
 //!
 //! * [`shard::HnswShard`] — an HNSW-style layered proximity graph over one
 //!   class, with deterministic level assignment from a counter-derived
-//!   RNG, ef-bounded beam search, incremental insert, and tombstone
-//!   delete with neighbour repair;
+//!   RNG and ef-bounded beam search;
 //! * [`class_index::AnnClassIndex`] — one shard per class behind the same
-//!   query API as `enld_knn::ClassIndex` (it implements
-//!   [`enld_knn::NeighborIndex`]), with `enld-par`-sharded builds,
-//!   batched updates, and batched queries that are **bit-identical at any
-//!   thread count**, plus versioned + checksummed persistence
+//!   batched query as `enld_knn::ClassIndex` (it implements
+//!   [`enld_knn::NeighborIndex`]), with `enld-par`-sharded builds and
+//!   batched queries that are **bit-identical at any thread count**, plus
+//!   versioned + checksummed persistence
 //!   ([`class_index::AnnClassIndex::to_bytes`]) so checkpoint resume
 //!   skips the rebuild.
 //!
-//! Chaos failpoints cover the mutation/persistence seams (`ann.insert`,
-//! `ann.repair`, `ann.persist`), and the index reports
-//! `enld.ann.inserts_total`, `enld.ann.deletes_total`,
+//! Chaos failpoints cover the build and persistence seams (`ann.insert`,
+//! `ann.persist`), and the index reports `enld.ann.inserts_total`,
 //! `enld.ann.queries_total`, `enld.ann.hops_total`, and the
 //! `enld.ann.recall_probe` gauge through `enld_telemetry::metrics`.
 //!
@@ -33,12 +32,12 @@
 //! let features = vec![0.0f32, 0.0, 1.0, 0.0, 10.0, 10.0, 11.0, 10.0];
 //! let labels = vec![0u32, 0, 1, 1];
 //! let keep = vec![100usize, 101, 102, 103];
-//! let mut index = AnnClassIndex::build(&features, 2, &labels, &keep, AnnParams::default());
+//! let index = AnnClassIndex::build(&features, 2, &labels, &keep, AnnParams::default());
 //! let hits = index.k_nearest_in_class(1, &[0.0, 0.0], 1);
 //! assert_eq!(hits[0].index, 102);
-//! // Arrivals patch the graph instead of rebuilding it.
-//! index.insert(0, 104, &[0.5, 0.5]);
-//! assert_eq!(index.class_len(0), 3);
+//! // The graph persists whole, so a checkpoint resume skips the rebuild.
+//! let back = AnnClassIndex::from_bytes(&index.to_bytes()).unwrap();
+//! assert_eq!(back.k_nearest_in_class(1, &[0.0, 0.0], 1), hits);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -98,17 +97,6 @@ mod failpoint_tests {
         enld_chaos::arm_from_spec("ann.insert=panic@nth:5").unwrap();
         let result = std::panic::catch_unwind(instance);
         assert!(result.is_err(), "5th insert must panic");
-        enld_chaos::disarm_all();
-    }
-
-    #[test]
-    #[ignore = "arms global failpoints; run with --ignored --test-threads=1"]
-    fn repair_failpoint_fires_on_remove() {
-        let _lock = enld_chaos::scenario();
-        let mut index = instance();
-        enld_chaos::arm_from_spec("ann.repair=panic").unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| index.remove(0, 0)));
-        assert!(result.is_err(), "remove must hit ann.repair");
         enld_chaos::disarm_all();
     }
 

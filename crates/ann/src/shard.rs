@@ -1,10 +1,10 @@
 //! One HNSW proximity graph over the samples of a single class.
 //!
 //! The shard is the unit of ownership in the sharded index layout: every
-//! mutation of a shard happens on exactly one thread (builds and batched
-//! updates parallelise *across* shards, never within one), which is what
-//! keeps the graph — and therefore every query answered from it —
-//! bit-identical at any thread count.
+//! insert into a shard happens on exactly one thread (builds parallelise
+//! *across* shards, never within one), which is what keeps the graph —
+//! and therefore every query answered from it — bit-identical at any
+//! thread count.
 //!
 //! Determinism inside a shard comes from two rules:
 //!
@@ -72,7 +72,7 @@ pub struct HnswShard {
     params: AnnParams,
     /// Shard-level seed (folds the class label into level assignment).
     seed: u64,
-    /// Flat row-major point buffer; tombstoned rows are retained.
+    /// Flat row-major point buffer.
     points: Vec<f32>,
     /// Global sample index behind each node.
     globals: Vec<usize>,
@@ -80,15 +80,8 @@ pub struct HnswShard {
     levels: Vec<u8>,
     /// `links[node][layer]` — adjacency lists, symmetric by construction.
     links: Vec<Vec<Vec<u32>>>,
-    /// Tombstone flags. Dead nodes are fully unlinked, so traversal never
-    /// reaches them; the flag guards double-removal and live counting.
-    dead: Vec<bool>,
-    live: usize,
-    /// Highest-level live node, the search entry point.
+    /// Highest-level node, the search entry point.
     entry: Option<u32>,
-    /// Monotone insertion counter driving the level RNG. Never decreases,
-    /// so a shard rebuilt by replaying its history reproduces itself.
-    inserted: u64,
 }
 
 impl HnswShard {
@@ -102,20 +95,17 @@ impl HnswShard {
             globals: Vec::new(),
             levels: Vec::new(),
             links: Vec::new(),
-            dead: Vec::new(),
-            live: 0,
             entry: None,
-            inserted: 0,
         }
     }
 
-    /// Live (non-tombstoned) node count.
+    /// Node count.
     pub fn len(&self) -> usize {
-        self.live
+        self.levels.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.levels.is_empty()
     }
 
     pub fn dim(&self) -> usize {
@@ -126,18 +116,9 @@ impl HnswShard {
         self.params
     }
 
-    /// Global sample indices of the live nodes, in insertion order.
-    pub fn live_globals(&self) -> impl Iterator<Item = usize> + '_ {
-        self.globals.iter().copied().zip(&self.dead).filter(|(_, &d)| !d).map(|(g, _)| g)
-    }
-
-    /// The stored point behind live global index `global`, if indexed.
-    pub fn point_of(&self, global: usize) -> Option<&[f32]> {
-        self.globals
-            .iter()
-            .position(|&g| g == global)
-            .filter(|&i| !self.dead[i])
-            .map(|i| &self.points[i * self.dim..(i + 1) * self.dim])
+    /// `(global, point)` of every node, in insertion order.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (usize, &[f32])> + '_ {
+        self.globals.iter().copied().zip(self.points.chunks_exact(self.dim))
     }
 
     #[inline]
@@ -179,14 +160,11 @@ impl HnswShard {
         assert_eq!(point.len(), self.dim, "point dimensionality mismatch");
         enld_chaos::fail_point("ann.insert");
         let id = self.levels.len() as u32;
-        let level = self.level_for(self.inserted);
-        self.inserted += 1;
+        let level = self.level_for(u64::from(id));
         self.points.extend_from_slice(point);
         self.globals.push(global);
         self.levels.push(level as u8);
         self.links.push(vec![Vec::new(); level + 1]);
-        self.dead.push(false);
-        self.live += 1;
 
         let mut stats = SearchStats::default();
         let Some(entry) = self.entry else {
@@ -218,55 +196,6 @@ impl HnswShard {
             self.entry = Some(id);
         }
         (id, stats)
-    }
-
-    /// Tombstones the node holding `global` and repairs the graph around
-    /// it: the node is unlinked everywhere and its former neighbours are
-    /// bridged pairwise (then re-pruned) so the layer stays navigable.
-    /// Returns `false` when `global` is not live in this shard.
-    pub fn remove(&mut self, global: usize) -> bool {
-        let Some(id) = self.globals.iter().position(|&g| g == global).filter(|&i| !self.dead[i])
-        else {
-            return false;
-        };
-        enld_chaos::fail_point("ann.repair");
-        self.dead[id] = true;
-        self.live -= 1;
-        let node = id as u32;
-        let node_links = std::mem::take(&mut self.links[id]);
-        for (layer, neighbors) in node_links.iter().enumerate() {
-            for &nb in neighbors {
-                self.links[nb as usize][layer].retain(|&x| x != node);
-            }
-            for i in 0..neighbors.len() {
-                for j in i + 1..neighbors.len() {
-                    self.link(neighbors[i], neighbors[j], layer);
-                }
-            }
-        }
-        // Clearing the taken links is implicit; restore an empty per-layer
-        // shape so serialization and invariants stay uniform.
-        self.links[id] = Vec::new();
-        if self.entry == Some(node) {
-            self.entry = self.pick_entry();
-        }
-        true
-    }
-
-    /// Highest-level live node (smallest id on ties), or `None`.
-    fn pick_entry(&self) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        for i in 0..self.levels.len() {
-            if self.dead[i] {
-                continue;
-            }
-            match best {
-                None => best = Some(i as u32),
-                Some(b) if self.levels[i] > self.levels[b as usize] => best = Some(i as u32),
-                _ => {}
-            }
-        }
-        best
     }
 
     /// Adds the symmetric edge `a — b` at `layer`, then prunes both
@@ -377,7 +306,7 @@ impl HnswShard {
         results.into_sorted_vec()
     }
 
-    /// The `k` nearest live points to `query` with an explicit beam width,
+    /// The `k` nearest points to `query` with an explicit beam width,
     /// as [`Neighbor`]s carrying global indices, sorted ascending by
     /// `(dist_sq, index)` like the exact backend.
     pub fn k_nearest_with_ef(
@@ -415,28 +344,16 @@ impl HnswShard {
         self.k_nearest_with_ef(query, k, self.params.ef_search)
     }
 
-    /// Cheap `O(edges)` structural validation: array shapes, tombstone
-    /// bookkeeping, layer caps, link targets in range / live / deep
-    /// enough (layer monotonicity), and a live entry point. This is what
-    /// `HnswShard::decode` runs on every restored shard.
+    /// Cheap `O(edges)` structural validation: array shapes, layer caps,
+    /// link targets in range and deep enough (layer monotonicity), and an
+    /// entry point in range. This is what `HnswShard::decode` runs
+    /// on every restored shard.
     pub fn validate_shapes(&self) -> Result<(), String> {
         let n = self.levels.len();
         if self.points.len() != n * self.dim || self.globals.len() != n || self.links.len() != n {
             return Err("parallel array shape mismatch".into());
         }
-        if self.dead.len() != n {
-            return Err("tombstone array shape mismatch".into());
-        }
-        if self.live != self.dead.iter().filter(|&&d| !d).count() {
-            return Err("live count out of sync with tombstones".into());
-        }
         for i in 0..n {
-            if self.dead[i] {
-                if !self.links[i].is_empty() {
-                    return Err(format!("dead node {i} still has links"));
-                }
-                continue;
-            }
             if self.links[i].len() != self.levels[i] as usize + 1 {
                 return Err(format!("node {i} layer count != level+1"));
             }
@@ -446,8 +363,8 @@ impl HnswShard {
                 }
                 for &nb in list {
                     let j = nb as usize;
-                    if j >= n || self.dead[j] {
-                        return Err(format!("node {i} links dead/absent node {j}"));
+                    if j >= n {
+                        return Err(format!("node {i} links absent node {j}"));
                     }
                     // Layer monotonicity: a layer-l edge requires level ≥ l.
                     if (self.levels[j] as usize) < layer {
@@ -456,19 +373,16 @@ impl HnswShard {
                 }
             }
         }
-        if let Some(e) = self.entry {
-            if e as usize >= n || self.dead[e as usize] {
-                return Err("entry point is tombstoned or out of range".into());
-            }
-        } else if self.live != 0 {
-            return Err("live nodes but no entry point".into());
+        match self.entry {
+            Some(e) if e as usize >= n => Err("entry point out of range".into()),
+            None if n != 0 => Err("nodes but no entry point".into()),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Full invariant check for tests and property suites: everything in
     /// [`HnswShard::validate_shapes`] plus link symmetry (`a→b ⇒ b→a` at
-    /// the same layer, which insert/delete/repair all preserve).
+    /// the same layer, which insert and pruning both preserve).
     pub fn check_invariants(&self) -> Result<(), String> {
         self.validate_shapes()?;
         for (i, layers) in self.links.iter().enumerate() {
@@ -483,28 +397,6 @@ impl HnswShard {
         Ok(())
     }
 
-    /// Size of the largest connected component of the live base layer,
-    /// computed with the same union-find the Topofilter graph machinery
-    /// uses. Navigability diagnostics for tests and the recall probe; the
-    /// graph is *usually* fully connected but pruning gives no hard
-    /// guarantee, so this is not part of [`HnswShard::validate_shapes`].
-    pub fn base_component_size(&self) -> usize {
-        let n = self.levels.len();
-        if self.live == 0 {
-            return 0;
-        }
-        let mut uf = enld_knn::graph::UnionFind::new(n);
-        for i in 0..n {
-            if self.dead[i] {
-                continue;
-            }
-            for &nb in &self.links[i][0] {
-                uf.union(i, nb as usize);
-            }
-        }
-        (0..n).filter(|&i| !self.dead[i]).map(|i| uf.set_size(i)).max().unwrap_or(0)
-    }
-
     // ---- persistence ----------------------------------------------------
 
     pub(crate) fn encode(&self, enc: &mut Enc) {
@@ -514,13 +406,10 @@ impl HnswShard {
         enc.usize(self.params.ef_search);
         enc.u64(self.params.seed);
         enc.u64(self.seed);
-        enc.u64(self.inserted);
-        enc.usize(self.live);
         enc.u32(self.entry.map_or(u32::MAX, |e| e));
         enc.f32_slice(&self.points);
         enc.usize_slice(&self.globals);
         enc.u8_slice(&self.levels);
-        enc.bool_slice(&self.dead);
         enc.seq(&self.links, |e, layers| e.seq(layers, |e, list| e.u32_slice(list)));
     }
 
@@ -536,8 +425,6 @@ impl HnswShard {
             seed: dec.u64()?,
         };
         let seed = dec.u64()?;
-        let inserted = dec.u64()?;
-        let live = dec.usize()?;
         let entry = match dec.u32()? {
             u32::MAX => None,
             e => Some(e),
@@ -545,10 +432,8 @@ impl HnswShard {
         let points = dec.f32_vec()?;
         let globals = dec.usize_vec()?;
         let levels = dec.u8_vec()?;
-        let dead = dec.bool_vec()?;
         let links = dec.seq(|d| d.seq(Dec::u32_vec))?;
-        let shard =
-            Self { dim, params, seed, points, globals, levels, links, dead, live, entry, inserted };
+        let shard = Self { dim, params, seed, points, globals, levels, links, entry };
         shard.validate_shapes()?;
         Ok(shard)
     }
@@ -611,51 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_repairs_and_excludes() {
-        let dim = 4;
-        let pts = random_points(60, dim, 5);
-        let params =
-            AnnParams { m: 6, ef_construction: 48, ef_search: 120, ..AnnParams::default() };
-        let mut shard = build_shard(&pts, dim, params);
-        for victim in [0usize, 17, 33, 59] {
-            assert!(shard.remove(victim));
-            assert!(!shard.remove(victim), "double remove");
-        }
-        shard.check_invariants().unwrap();
-        assert_eq!(shard.len(), 56);
-        assert_eq!(shard.base_component_size(), 56, "repair kept the base layer connected");
-        let (hits, _) = shard.k_nearest_with_ef(&pts[0..dim], 5, 120);
-        assert!(hits.iter().all(|h| ![0usize, 17, 33, 59].contains(&h.index)));
-        // Survivors still match brute force over the live set at high ef.
-        let live: Vec<usize> = shard.live_globals().collect();
-        let live_pts: Vec<f32> =
-            live.iter().flat_map(|&i| pts[i * dim..(i + 1) * dim].to_vec()).collect();
-        let brute = brute_k_nearest(&live_pts, dim, &pts[0..dim], 5);
-        let hd: Vec<f32> = hits.iter().map(|h| h.dist_sq).collect();
-        let bd: Vec<f32> = brute.iter().map(|h| h.dist_sq).collect();
-        assert_eq!(hd, bd);
-    }
-
-    #[test]
-    fn remove_entry_point_and_everything() {
-        let dim = 2;
-        let pts = random_points(10, dim, 8);
-        let mut shard = build_shard(&pts, dim, AnnParams::default());
-        for i in 0..10 {
-            assert!(shard.remove(i), "remove {i}");
-            assert!(shard.check_invariants().is_ok(), "after removing {i}");
-        }
-        assert!(shard.is_empty());
-        let (hits, _) = shard.k_nearest(&[0.0, 0.0], 3);
-        assert!(hits.is_empty());
-        // Inserting into a drained shard revives it.
-        shard.insert(77, &[1.0, 1.0]);
-        let (hits, _) = shard.k_nearest(&[0.0, 0.0], 3);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].index, 77);
-    }
-
-    #[test]
     fn levels_are_counter_deterministic() {
         let params = AnnParams::default();
         let a = build_shard(&random_points(50, 3, 1), 3, params);
@@ -669,9 +509,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let dim = 6;
         let pts = random_points(40, dim, 13);
-        let mut shard = build_shard(&pts, dim, AnnParams::default());
-        shard.remove(7);
-        shard.remove(21);
+        let shard = build_shard(&pts, dim, AnnParams::default());
         let mut enc = Enc::default();
         shard.encode(&mut enc);
         let bytes = enc.finish();

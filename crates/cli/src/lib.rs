@@ -707,6 +707,23 @@ mod tests {
     }
 
     #[test]
+    fn a_feature_that_overflows_its_float_width_is_rejected() {
+        let (_, path) = small_lake("overflow");
+        let text = fs::read_to_string(&path).expect("read");
+        let head = "\"arrivals\":[{\"xs\":[";
+        let at = text.find(head).expect("arrival 0") + head.len();
+        let end = at + text[at..].find(',').expect("more than one feature");
+        // 1e39 overflows f32 and 1e400 overflows f64: both would read as
+        // an infinite feature.
+        for huge in ["1e39", "1e400"] {
+            fs::write(&path, format!("{}{huge}{}", &text[..at], &text[end..])).expect("write");
+            let err = load_lake(&path).expect_err(huge).to_string();
+            assert!(err.ends_with("arrivals: item 0: xs: item 0: expected f32"), "{huge}: {err}");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn generate_rejects_bad_inputs() {
         let path = tmp("bad");
         assert!(matches!(

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use enld_telemetry::chrome_trace;
-use enld_telemetry::json::{f64_token, parse_json, parse_jsonl_tolerant, JsonValue, Layout};
+use enld_telemetry::json::{parse_json, parse_jsonl_tolerant};
 use enld_telemetry::profile::{aggregate_sites, critical_path, folded_stacks, slowest_trace};
 use enld_telemetry::OwnedSpan;
 
@@ -33,42 +33,6 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Renders one parsed JSON field value back to a raw JSON token for
-/// [`OwnedSpan::fields`] (floats in the telemetry writer's notation, so
-/// an integral one keeps its integer spelling).
-fn value_token(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Float(n) => f64_token(*n),
-        // Nested values don't occur in span fields; re-render defensively.
-        JsonValue::Array(_) | JsonValue::Object(_) => "null".to_owned(),
-        scalar => scalar.render(Layout::Compact),
-    }
-}
-
-/// Converts one parsed JSONL object to a span; `None` for non-span
-/// records (events, metric snapshots) which share the trace file.
-fn span_from_json(value: &JsonValue) -> Option<OwnedSpan> {
-    if value.get("type")?.as_str()? != "span" {
-        return None;
-    }
-    let u64_of = |key| value.get(key).and_then(JsonValue::as_int::<u64>);
-    let fields = value
-        .get("fields")
-        .and_then(JsonValue::as_object)
-        .map(|f| f.iter().map(|(k, v)| (k.clone(), value_token(v))).collect())
-        .unwrap_or_default();
-    Some(OwnedSpan {
-        id: u64_of("id")?,
-        parent: u64_of("parent"),
-        trace: u64_of("trace").unwrap_or(0),
-        tid: u64_of("tid").unwrap_or(0),
-        name: value.get("name")?.as_str()?.to_owned(),
-        start_us: u64_of("start_us")?,
-        dur_us: u64_of("dur_us")?,
-        fields,
-    })
-}
-
 /// Loads every span record from a `--trace-out` JSONL file.
 ///
 /// A malformed *final* line (torn by a crash mid-write) is dropped and
@@ -81,7 +45,7 @@ pub fn load_spans(path: &Path) -> Result<Vec<OwnedSpan>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let (records, torn) =
-        parse_jsonl_tolerant(&text, |line| parse_json(line).map(|v| span_from_json(&v)))
+        parse_jsonl_tolerant(&text, |line| parse_json(line).map(|v| OwnedSpan::from_json(&v)))
             .map_err(|e| format!("{}: {e}", path.display()))?;
     if let Some(tail) = torn {
         eprintln!("warning: dropped torn final {tail}");

@@ -40,7 +40,7 @@ pub struct EnldConfig {
     /// Ablation variant (§V-I; `Origin` is full ENLD).
     pub ablation: AblationVariant,
     /// Neighbour-index backend for contrastive sampling (exact KD-trees
-    /// or the incremental HNSW graphs from `enld-ann`).
+    /// or the approximate HNSW graphs from `enld-ann`).
     pub index: IndexBackend,
     /// Master seed for model init, splits and sampling.
     pub seed: u64,

@@ -974,6 +974,41 @@ mod tests {
         assert_eq!(capped.accumulated_clean(), free.accumulated_clean());
     }
 
+    /// DESIGN §11: the persistent graph over `H`, restricted to the
+    /// classes of `D`, answers round −1 exactly as a fresh build over
+    /// `H ∩ I'` would. A clone with no persistent graph builds that fresh
+    /// index at round −1, so both must write the same verdicts and the
+    /// same ledger, draws included.
+    #[test]
+    fn the_persistent_graph_answers_round_minus_one_as_a_fresh_build() {
+        let mut lake = small_lake(0.2, 3);
+        let cfg = EnldConfig { index: IndexBackend::hnsw(), ..EnldConfig::fast_test() };
+        let mut kept = Enld::init(lake.inventory(), &cfg);
+        let mut fresh = kept.clone();
+        fresh.ann = None;
+        let sinks = [Arc::new(MemoryLedger::new()), Arc::new(MemoryLedger::new())];
+        kept.set_ledger(sinks[0].clone(), "hnsw");
+        fresh.set_ledger(sinks[1].clone(), "hnsw");
+        while let Some(req) = lake.next_request() {
+            assert_eq!(canon(kept.detect(&req.data)), canon(fresh.detect(&req.data)));
+        }
+        // Span ids come from whatever sink a parallel test installed.
+        let records = sinks.map(|sink| {
+            let mut records = sink.records();
+            for record in &mut records {
+                if let LedgerRecord::Task(t) = record {
+                    (t.trace_id, t.span_id) = (0, 0);
+                }
+            }
+            records
+        });
+        assert_eq!(records[0], records[1]);
+        let round_minus_one = records[0]
+            .iter()
+            .any(|r| matches!(r, LedgerRecord::Sample(s) if s.draws.iter().any(|d| d.round == -1)));
+        assert!(round_minus_one, "no sample drew at round −1");
+    }
+
     #[test]
     fn hnsw_backend_partitions_and_beats_chance() {
         let mut lake = small_lake(0.2, 3);

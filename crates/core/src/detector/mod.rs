@@ -56,9 +56,10 @@ pub struct Enld {
     inventory_fp: u64,
     recovery: Recovery,
     /// Persistent approximate index over the general-model features of
-    /// `H` (`IndexBackend::Hnsw` only): reused for the round-0 selection
-    /// of every task and embedded into checkpoints so a resume skips the
-    /// rebuild. `None` for the exact backend.
+    /// `H` (`IndexBackend::Hnsw` only): queried for the round −1
+    /// selection of every task and embedded into checkpoints so a resume
+    /// skips the rebuild. Built again, never edited, when `H` or the
+    /// model changes. `None` for the exact backend.
     ann: Option<AnnClassIndex>,
 }
 
@@ -170,9 +171,9 @@ impl Enld {
         let IndexBackend::Hnsw(params) = self.config.index else { return None };
         let _s = telemetry::debug_span("enld.ann.build").timed("enld.ann.build_secs").entered();
         let index = if self.hq.is_empty() {
-            // Degenerate filter output: start from an empty graph (arrivals
-            // still patch in through the usual insert path).
-            AnnClassIndex::new(self.model.config().width, params)
+            // Degenerate filter output: an empty graph (round −1 then has
+            // no high-quality candidate and draws from I' at random).
+            AnnClassIndex::build(&[], self.model.config().width, &[], &[], params)
         } else {
             let ic_view = DataRef::new(self.i_c.xs(), self.i_c.labels(), self.i_c.dim());
             let rows = ic_view.gather(&self.hq);

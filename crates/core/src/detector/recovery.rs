@@ -200,6 +200,7 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::Arc;
 
+    use enld_ann::AnnClassIndex;
     use enld_knn::IndexBackend;
     use enld_nn::dense::Dense;
 
@@ -378,6 +379,22 @@ mod tests {
         let got = resumed.detect(&a1);
         assert_eq!(canon(&got), canon(&expect));
         assert_eq!(got.history, expect.history);
+    }
+
+    /// A checkpoint with no blob resumes an hnsw run by building the
+    /// graph over the checkpointed `H`, as init would.
+    #[test]
+    fn a_checkpoint_without_a_blob_resumes_by_building_the_graph() {
+        let lake = small_lake(0.2, 31);
+        let cfg = EnldConfig { index: IndexBackend::hnsw(), ..EnldConfig::fast_test() };
+        let primary = Enld::init(lake.inventory(), &cfg);
+        let mut ckpt = Checkpoint::from_bytes(&primary.capture_checkpoint().to_bytes())
+            .expect("codec round-trip");
+        ckpt.ann = None;
+        let resumed = Enld::resume_from(lake.inventory(), &cfg, &ckpt).expect("resume");
+        let blob = |enld: &Enld| enld.ann.as_ref().map(AnnClassIndex::to_bytes);
+        assert!(blob(&resumed).is_some());
+        assert_eq!(blob(&resumed), blob(&primary));
     }
 
     #[test]

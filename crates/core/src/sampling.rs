@@ -87,7 +87,7 @@ impl SamplingPolicy {
 /// high-quality samples and the conditional `P̃` that proposes which
 /// class to query.
 pub struct ContrastSource<'a> {
-    /// Any [`NeighborIndex`] backend (exact KD-trees or the incremental
+    /// Any [`NeighborIndex`] backend (exact KD-trees or the approximate
     /// HNSW graphs) whose hits map back to `I_c` indices.
     pub index: &'a dyn NeighborIndex,
     /// Labels available among the high-quality samples; candidate draws

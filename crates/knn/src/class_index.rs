@@ -105,22 +105,6 @@ impl ClassIndex {
 }
 
 impl NeighborIndex for ClassIndex {
-    fn class_labels(&self) -> Vec<u32> {
-        self.classes().collect()
-    }
-
-    fn class_len(&self, label: u32) -> usize {
-        ClassIndex::class_len(self, label)
-    }
-
-    fn len(&self) -> usize {
-        ClassIndex::len(self)
-    }
-
-    fn k_nearest_in_class(&self, label: u32, query: &[f32], k: usize) -> Vec<Neighbor> {
-        ClassIndex::k_nearest_in_class(self, label, query, k)
-    }
-
     fn k_nearest_in_class_batch(
         &self,
         labels: &[u32],

@@ -1,46 +1,26 @@
 //! Backend-neutral neighbour-index abstraction.
 //!
-//! Contrastive sampling (Alg. 2) only needs four things from an index:
-//! which classes it holds, how many samples each class has, per-class
-//! k-nearest queries, and the batched form of those queries. This module
-//! captures that contract as [`NeighborIndex`] so the detector can swap
-//! the exact per-class KD-trees ([`crate::ClassIndex`]) for the
-//! incremental HNSW index (`enld-ann`'s `AnnClassIndex`) behind a single
+//! Contrastive sampling (Alg. 2) asks an index one thing: the `k`
+//! nearest samples of a chosen class for each ambiguous sample, as one
+//! batch. This module captures that contract as [`NeighborIndex`] so the
+//! detector can swap the exact per-class KD-trees ([`crate::ClassIndex`])
+//! for the HNSW index (`enld-ann`'s `AnnClassIndex`) behind a single
 //! `--index exact|hnsw` flag.
 
 use crate::kdtree::Neighbor;
 
-/// Common query surface of the exact and approximate per-class indexes.
-///
-/// Implementations must answer batched queries identically to a
-/// sequential loop over [`NeighborIndex::k_nearest_in_class`] at any
-/// thread count (the workspace-wide bit-identical determinism contract).
-///
-/// Mutation is deliberately *not* part of the trait: the KD-tree is a
-/// static structure (an "insert" would be a silent full rebuild), and
-/// the incremental backend exposes `insert`/`insert_batch`/`remove`
-/// inherently.
+/// The query contrastive sampling makes of the exact and approximate
+/// per-class indexes. Both are built over `H` and never edited, and each
+/// keeps its other accessors (class lists, sizes, single queries) as
+/// inherent methods.
 pub trait NeighborIndex: Send + Sync {
-    /// Classes present in the index, ascending.
-    fn class_labels(&self) -> Vec<u32>;
-
-    /// Number of live samples of `label`.
-    fn class_len(&self, label: u32) -> usize;
-
-    /// Total live samples.
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `k` nearest samples *of class `label`* to `query`, carrying the
-    /// global sample indices supplied at build time, sorted ascending by
-    /// `(dist_sq, index)`. Empty when the class is absent.
-    fn k_nearest_in_class(&self, label: u32, query: &[f32], k: usize) -> Vec<Neighbor>;
-
-    /// Batched [`NeighborIndex::k_nearest_in_class`]: answers query `i`
-    /// (row `i` of the flat `queries` buffer) against class `labels[i]`.
+    /// Answers query `i` (row `i` of the flat `queries` buffer) against
+    /// class `labels[i]`: the `k` nearest samples of that class, carrying
+    /// the global sample indices supplied at build time, sorted ascending
+    /// by `(dist_sq, index)`, and empty when the class is absent.
+    /// Implementations answer exactly as a sequential loop of single
+    /// queries would, at any thread count (the workspace-wide
+    /// bit-identical determinism contract).
     fn k_nearest_in_class_batch(
         &self,
         labels: &[u32],
@@ -79,7 +59,9 @@ pub enum IndexBackend {
     /// Exact per-class KD-trees, rebuilt from scratch every round.
     #[default]
     Exact,
-    /// Incremental per-class HNSW graphs (`enld-ann`).
+    /// Approximate per-class HNSW graphs (`enld-ann`): the graph over
+    /// `H` is kept and persisted for round −1, and every later round
+    /// builds its own.
     Hnsw(AnnParams),
 }
 
@@ -136,11 +118,9 @@ mod tests {
         let keep = vec![5usize, 6, 7];
         let idx = ClassIndex::build(&features, 2, &labels, &keep);
         let dynamic: &dyn NeighborIndex = &idx;
-        assert_eq!(dynamic.class_labels(), vec![0, 1]);
-        assert_eq!(dynamic.len(), 3);
-        assert_eq!(dynamic.class_len(0), 2);
-        let hits = dynamic.k_nearest_in_class(0, &[0.1, 0.0], 2);
-        assert_eq!(hits[0].index, 5);
-        assert_eq!(hits[1].index, 6);
+        let hits = dynamic.k_nearest_in_class_batch(&[0, 7], &[0.1, 0.0, 0.1, 0.0], 2);
+        let indices: Vec<Vec<usize>> =
+            hits.iter().map(|h| h.iter().map(|n| n.index).collect()).collect();
+        assert_eq!(indices, vec![vec![5, 6], vec![]]);
     }
 }

@@ -57,8 +57,7 @@ struct Node {
 }
 
 /// KD-tree over points packed in a flat `Vec<f32>`. A static structure:
-/// built once, never mutated — incremental inserts and deletes are what
-/// the `enld-ann` backend exists for.
+/// built once, never mutated.
 #[derive(Debug, Clone)]
 pub struct KdTree {
     points: Vec<f32>,

@@ -14,8 +14,9 @@ use crate::json::JsonObject;
 use crate::sink::SpanRecord;
 
 /// An owned copy of a closed span, detached from `&'static` names so it
-/// can be parsed back from JSONL and shipped across threads.
-#[derive(Debug, Clone)]
+/// can be parsed back from JSONL ([`OwnedSpan::from_json`]) and shipped
+/// across threads.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnedSpan {
     pub id: u64,
     pub parent: Option<u64>,

@@ -177,7 +177,7 @@ json_scalar! {
     u64: |n| JsonValue::Int((*n).into()), JsonValue::as_int;
     i64: |n| JsonValue::Int((*n).into()), JsonValue::as_int;
     usize: |n| JsonValue::Int(*n as i128), JsonValue::as_int;
-    f64: |v| JsonValue::Float(*v), JsonValue::as_f64;
+    f64: |v| JsonValue::Float(*v), JsonValue::as_finite_f64;
     f32: |v| JsonValue::F32(*v), JsonValue::as_f32;
     bool: |b| JsonValue::Bool(*b), JsonValue::as_bool;
     String: |s| JsonValue::String(s.clone()), JsonValue::as_string;
@@ -315,9 +315,16 @@ impl JsonValue {
         }
     }
 
-    /// Any number, narrowed to `f32` as a typed `f32` reader narrows it.
+    /// Any number that stays finite narrowed to `f32`, as a typed `f32`
+    /// reader takes it (`1e39` overflows to infinity, so it is not one).
     pub fn as_f32(&self) -> Option<f32> {
-        self.as_f64().map(|v| v as f32)
+        self.as_f64().map(|v| v as f32).filter(|v| v.is_finite())
+    }
+
+    /// Any finite number, as a typed `f64` reader takes it (`1e400`
+    /// parses to infinity, so it is not one).
+    fn as_finite_f64(&self) -> Option<f64> {
+        self.as_f64().filter(|v| v.is_finite())
     }
 
     /// An integer token that fits `T` exactly (`3.0` is not one).
@@ -822,6 +829,10 @@ mod tests {
         let err = |text: &str| Row::from_json(&parse_json(text).unwrap()).unwrap_err();
         assert_eq!(err(r#"{"rate":1}"#), "field \"name\" is missing");
         assert_eq!(err(r#"{"name":"b","rate":"1"}"#), "rate: expected f32");
+        // A number past the reader's width overflows to infinity: rejected.
+        assert_eq!(err(r#"{"name":"b","rate":1e39}"#), "rate: expected f32");
+        let huge_scale = r#"{"name":"b","rate":1,"tags":[],"pair":[0,false],"scale":1e400}"#;
+        assert_eq!(err(huge_scale), "scale: expected f64");
         let bad_tag = r#"{"name":"b","rate":1,"tags":[1,2.5],"pair":[0,false]}"#;
         assert_eq!(err(bad_tag), "tags: item 1: expected u32");
         assert_eq!(err(r#"{"name":"b","rate":1,"tags":[],"pair":[0]}"#), "pair: expected a pair");

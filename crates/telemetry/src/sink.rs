@@ -11,7 +11,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use crate::json::JsonObject;
+use crate::chrome_trace::OwnedSpan;
+use crate::json::{f64_token, JsonObject, JsonValue, Layout};
 use crate::level::Level;
 use crate::span::FieldValue;
 
@@ -87,6 +88,39 @@ impl SpanRecord {
             o.raw_field("fields", &f.finish());
         }
         o.finish()
+    }
+}
+
+impl OwnedSpan {
+    /// Reads back one parsed line that [`SpanRecord::to_json`] wrote;
+    /// `None` for the other records (events, metric snapshots) that share
+    /// a `--trace-out` file. Field values come back as the writer's
+    /// tokens (floats in [`f64_token`] notation, so an integral one keeps
+    /// its integer spelling).
+    pub fn from_json(value: &JsonValue) -> Option<Self> {
+        if value.get("type")?.as_str()? != "span" {
+            return None;
+        }
+        let u64_of = |key| value.get(key).and_then(JsonValue::as_int::<u64>);
+        let token = |v: &JsonValue| match v {
+            JsonValue::Float(n) => f64_token(*n),
+            scalar => scalar.render(Layout::Compact),
+        };
+        let fields = value
+            .get("fields")
+            .and_then(JsonValue::as_object)
+            .map(|f| f.iter().map(|(k, v)| (k.clone(), token(v))).collect())
+            .unwrap_or_default();
+        Some(Self {
+            id: u64_of("id")?,
+            parent: u64_of("parent"),
+            trace: u64_of("trace").unwrap_or(0),
+            tid: u64_of("tid").unwrap_or(0),
+            name: value.get("name")?.as_str()?.to_owned(),
+            start_us: u64_of("start_us")?,
+            dur_us: u64_of("dur_us")?,
+            fields,
+        })
     }
 }
 
@@ -371,6 +405,40 @@ mod tests {
         assert!(json.contains("\"trace\":1"));
         assert!(json.contains("\"tid\":4"));
         assert!(json.contains("\"fields\":{\"k\":9,\"s\":\"v\"}"));
+    }
+
+    #[test]
+    fn a_span_line_reads_back_as_the_span_it_was_written_from() {
+        let r = SpanRecord {
+            id: 3,
+            parent: Some(2),
+            trace: 1,
+            tid: 4,
+            depth: 1,
+            name: "stage",
+            level: Level::Debug,
+            start_micros: 10,
+            duration_micros: 250,
+            fields: vec![
+                ("rows", FieldValue::U64(9)),
+                ("delta", FieldValue::I64(-3)),
+                ("share", FieldValue::F64(0.125)),
+                ("whole", FieldValue::F64(2.0)),
+                ("tiny", FieldValue::F64(1e-7)),
+                ("nan", FieldValue::F64(f64::NAN)),
+                ("ok", FieldValue::Bool(true)),
+                ("s", FieldValue::Str("a \"quoted\"\n\u{e9}".into())),
+            ],
+        };
+        let line = crate::json::parse_json(&r.to_json()).expect("a JSON line");
+        assert_eq!(OwnedSpan::from_json(&line), Some(OwnedSpan::from(&r)));
+        let root = SpanRecord { parent: None, fields: Vec::new(), ..r };
+        let line = crate::json::parse_json(&root.to_json()).expect("a JSON line");
+        assert_eq!(OwnedSpan::from_json(&line), Some(OwnedSpan::from(&root)));
+        let event =
+            Event { level: Level::Info, target: "t", message: "m".into(), micros: 1, span: None };
+        let event = crate::json::parse_json(&event.to_json()).expect("a JSON line");
+        assert_eq!(OwnedSpan::from_json(&event), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # ANN index smoke test: run `enld detect --index hnsw` against a
-# generated lake (HNSW build + incremental inserts + batched queries),
+# generated lake (HNSW builds + batched queries),
 # kill it with an injected panic at the `ann.persist` failpoint while
 # the checkpoint writer serializes the graph blob, resume from the
 # surviving checkpoint — which must restore the persisted index instead

@@ -222,37 +222,6 @@ fn hnsw_resume_after_ann_killpoints_matches_the_uninterrupted_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The `ann.repair` failpoint fires *before* the tombstone flips, so a
-/// crash mid-repair leaves the index exactly as it was: same serialized
-/// bytes, same query answers — nothing to recover.
-#[test]
-fn a_crash_mid_repair_leaves_the_ann_index_intact() {
-    use enld_ann::AnnClassIndex;
-    use enld_knn::AnnParams;
-
-    let _guard = enld_chaos::scenario();
-    let features: Vec<f32> = (0..90).map(|i| (i % 17) as f32).collect();
-    let labels: Vec<u32> = (0..30).map(|i| (i % 3) as u32).collect();
-    let keep: Vec<usize> = (0..30).collect();
-    let mut index = AnnClassIndex::build(&features, 3, &labels, &keep, AnnParams::default());
-    let before = index.to_bytes();
-
-    enld_chaos::arm_from_spec("ann.repair=panic").expect("valid failpoint spec");
-    let crashed = catch_unwind(AssertUnwindSafe(|| index.remove(1, 1)));
-    enld_chaos::disarm_all();
-    assert!(crashed.is_err(), "the armed failpoint must kill the repair");
-
-    assert_eq!(index.to_bytes(), before, "a mid-repair crash must not mutate the graph");
-    let restored = AnnClassIndex::from_bytes(&before).expect("blob still decodes");
-    assert_eq!(
-        restored.k_nearest_in_class(1, &[1.0, 2.0, 3.0], 3),
-        index.k_nearest_in_class(1, &[1.0, 2.0, 3.0], 3)
-    );
-    // Disarmed, the repair path completes and the sample is gone.
-    assert!(index.remove(1, 1), "sample 1 was live");
-    assert_eq!(index.class_len(1), 9);
-}
-
 /// A checkpoint write that fails mid-run aborts loudly (silently running on
 /// would orphan the recovery contract), and the previous checkpoint on disk
 /// still resumes bit-identically.

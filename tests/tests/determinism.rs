@@ -81,9 +81,9 @@ fn ann_build_update_and_queries_are_bit_identical_across_thread_counts() {
     let queries = uniform(32 * DIM, 62);
     let qlabels: Vec<u32> = (0..32).map(|i| (i % 6) as u32).collect();
 
-    // Build, patch an arrival in, tombstone a few, then query: the
-    // serialized blob pins the whole graph (levels, links, tombstones)
-    // bit-for-bit, not just the query answers.
+    // Build, add a second batch, then query: the serialized blob pins
+    // the whole graph (levels, links, entry points) bit-for-bit, not just
+    // the query answers.
     let run = || {
         let mut index = AnnClassIndex::build(
             &feats[..N * DIM],
@@ -93,9 +93,6 @@ fn ann_build_update_and_queries_are_bit_identical_across_thread_counts() {
             AnnParams::default(),
         );
         index.insert_batch(&feats[N * DIM..], &labels[N..], &keep[N..]);
-        for g in (0..N).step_by(97) {
-            index.remove(labels[g], g);
-        }
         (index.to_bytes(), index.k_nearest_in_class_batch(&qlabels, &queries, 4))
     };
     let base = enld_par::with_threads(1, run);
