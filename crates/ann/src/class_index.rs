@@ -1,5 +1,5 @@
 //! Per-class sharded HNSW index with the same query surface as
-//! `enld_knn::ClassIndex`, plus what the KD-tree backend does not offer:
+//! `enld_knn::ClassIndex`, plus what the exact scan has no use for:
 //! `to_bytes`/`from_bytes` persist the whole structure (versioned and
 //! checksummed) so a checkpoint resume skips the rebuild entirely.
 //!
@@ -40,6 +40,36 @@ const PROBE_QUERIES: usize = 16;
 /// One parallel insert task: the shard moved out of the map plus its
 /// `(global, row)` additions.
 type ShardWork = (u32, HnswShard, Vec<(usize, usize)>);
+
+/// Why [`AnnClassIndex::from_bytes`] rejected a blob.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AnnDecodeError {
+    /// Not a valid blob: bad magic, unknown version, checksum mismatch,
+    /// truncation, trailing bytes, or a structurally invalid shard.
+    Format(String),
+    /// A shard's copy of the parameters differs from the header's, so its
+    /// queries would run with a beam the index does not report.
+    ParamsMismatch { label: u32, header: AnnParams, shard: AnnParams },
+}
+
+impl std::fmt::Display for AnnDecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Format(m) => f.write_str(m),
+            Self::ParamsMismatch { label, header, shard } => {
+                write!(f, "shard {label} params {shard:?} != index params {header:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AnnDecodeError {}
+
+impl From<String> for AnnDecodeError {
+    fn from(m: String) -> Self {
+        Self::Format(m)
+    }
+}
 
 /// Approximate per-class neighbour index.
 #[derive(Debug, Clone)]
@@ -234,12 +264,14 @@ impl AnnClassIndex {
 
     /// Decodes a blob produced by [`AnnClassIndex::to_bytes`], rejecting
     /// bad magic, unknown versions, checksum mismatches, truncation,
-    /// trailing bytes, and structurally invalid shards.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
+    /// trailing bytes and structurally invalid shards
+    /// ([`AnnDecodeError::Format`]), and shards whose parameters differ
+    /// from the header's ([`AnnDecodeError::ParamsMismatch`]).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, AnnDecodeError> {
         let mut dec = Dec::new(durable::open(&MAGIC, FORMAT_VERSION, bytes)?);
         let dim = dec.usize()?;
         if dim == 0 {
-            return Err("index dim must be positive".into());
+            return Err(AnnDecodeError::Format("index dim must be positive".into()));
         }
         let params = AnnParams {
             m: dec.usize()?,
@@ -253,10 +285,14 @@ impl AnnClassIndex {
             let label = dec.u32()?;
             let shard = HnswShard::decode(&mut dec)?;
             if shard.dim() != dim {
-                return Err(format!("shard {label} dim {} != index dim {dim}", shard.dim()));
+                return Err(format!("shard {label} dim {} != index dim {dim}", shard.dim()).into());
+            }
+            if shard.params() != params {
+                let shard = shard.params();
+                return Err(AnnDecodeError::ParamsMismatch { label, header: params, shard });
             }
             if shards.insert(label, shard).is_some() {
-                return Err(format!("duplicate shard for label {label}"));
+                return Err(format!("duplicate shard for label {label}").into());
             }
         }
         dec.finish()?;
@@ -395,7 +431,25 @@ mod tests {
         // v1 carried state this build no longer reads.
         let payload = durable::open(&MAGIC, FORMAT_VERSION, &blob).unwrap();
         let err = AnnClassIndex::from_bytes(&durable::seal(&MAGIC, 1, payload)).unwrap_err();
-        assert!(err.contains("version 1"), "{err}");
+        assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    #[test]
+    fn shard_params_that_differ_from_the_header_are_rejected() {
+        let (features, labels, keep) = random_instance(40, 4, 2, 8);
+        let header = AnnParams::default();
+        let blob = AnnClassIndex::build(&features, 4, &labels, &keep, header).to_bytes();
+        let mut payload = durable::open(&MAGIC, FORMAT_VERSION, &blob).unwrap().to_vec();
+        // Header: dim, m, ef_construction, ef_search, seed, shard count (8
+        // bytes each); then shard 0: its label (4 bytes), dim, m,
+        // ef_construction, ef_search.
+        let at = 6 * 8 + 4 + 3 * 8;
+        assert_eq!(payload[at..at + 8], (header.ef_search as u64).to_le_bytes());
+        payload[at..at + 8].copy_from_slice(&(header.ef_search as u64 + 1).to_le_bytes());
+        let err = AnnClassIndex::from_bytes(&durable::seal(&MAGIC, FORMAT_VERSION, &payload))
+            .unwrap_err();
+        let shard = AnnParams { ef_search: header.ef_search + 1, ..header };
+        assert_eq!(err, AnnDecodeError::ParamsMismatch { label: 0, header, shard });
     }
 
     const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/ann_v2.bin");

@@ -2,7 +2,7 @@
 //!
 //! ENLD's contrastive sampling (Alg. 2) answers "k nearest high-quality
 //! samples of class `j`" queries. This crate supplies the approximate
-//! alternative to the exact per-class KD-trees behind the `--index hnsw`
+//! alternative to the exact per-class scan behind the `--index hnsw`
 //! flag. `H` changes only when Alg. 4 retrains the model, which moves
 //! every feature, so the index is built, queried and persisted, never
 //! edited:
@@ -71,7 +71,7 @@ pub(crate) mod testutil {
     }
 }
 
-pub use class_index::AnnClassIndex;
+pub use class_index::{AnnClassIndex, AnnDecodeError};
 pub use shard::{HnswShard, SearchStats};
 
 #[cfg(test)]

@@ -442,7 +442,7 @@ impl HnswShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enld_knn::brute::brute_k_nearest;
+    use enld_knn::brute::k_nearest;
 
     use crate::testutil::random_points;
 
@@ -467,7 +467,7 @@ mod tests {
         for t in 0..20u64 {
             let q: Vec<f32> = random_points(1, dim, 900 + t).iter().map(|x| x * 1.2).collect();
             let (hits, stats) = shard.k_nearest_with_ef(&q, 5, 200);
-            let brute = brute_k_nearest(&pts, dim, &q, 5);
+            let brute = k_nearest(&pts, dim, &q, 5);
             let hd: Vec<f32> = hits.iter().map(|h| h.dist_sq).collect();
             let bd: Vec<f32> = brute.iter().map(|h| h.dist_sq).collect();
             assert_eq!(hd, bd);
@@ -486,7 +486,7 @@ mod tests {
         for t in 0..50u64 {
             let q = random_points(1, dim, 7000 + t);
             let (hits, _) = shard.k_nearest(&q, 5);
-            let brute = brute_k_nearest(&pts, dim, &q, 5);
+            let brute = k_nearest(&pts, dim, &q, 5);
             let truth: std::collections::HashSet<usize> = brute.iter().map(|h| h.index).collect();
             found += hits.iter().filter(|h| truth.contains(&h.index)).count();
             total += truth.len();

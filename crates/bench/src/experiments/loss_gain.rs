@@ -22,7 +22,6 @@ use enld_core::config::EnldConfig;
 use enld_core::sampling::{addition_selection, AdditionStrategy};
 use enld_datagen::presets::DatasetPreset;
 use enld_knn::class_index::ClassIndex;
-use enld_knn::kdtree::KdTree;
 use enld_lake::lake::{DataLake, LakeConfig};
 use enld_nn::data::DataRef;
 use enld_nn::trainer::{TrainConfig, Trainer};
@@ -54,10 +53,10 @@ pub fn fig3(ctx: &ExpContext) -> io::Result<()> {
         let model = enld.model();
         let i_c = enld.candidate_set();
 
-        // Features of I_c under θ, plus the two indexes the strategies use.
+        // Features of I_c under θ (Nearest-Only scans them), plus the
+        // per-true-class index Nearest-Related queries.
         let ic_view = DataRef::new(i_c.xs(), i_c.labels(), i_c.dim());
         let ic_feats = model.features(ic_view);
-        let ic_tree = KdTree::build(ic_feats.data(), ic_feats.cols());
         let keep: Vec<usize> = (0..i_c.len()).collect();
         let ic_true_index =
             ClassIndex::build(ic_feats.data(), ic_feats.cols(), i_c.true_labels(), &keep);
@@ -83,9 +82,8 @@ pub fn fig3(ctx: &ExpContext) -> io::Result<()> {
                     strategy,
                     &test_feats,
                     d_test.true_labels(),
-                    &ic_tree,
+                    &ic_feats,
                     &ic_true_index,
-                    i_c.len(),
                     &mut rng,
                 );
                 // Train one epoch on the additions with their true labels.

@@ -39,8 +39,8 @@ pub struct EnldConfig {
     pub policy: SamplingPolicy,
     /// Ablation variant (§V-I; `Origin` is full ENLD).
     pub ablation: AblationVariant,
-    /// Neighbour-index backend for contrastive sampling (exact KD-trees
-    /// or the approximate HNSW graphs from `enld-ann`).
+    /// Neighbour-index backend for contrastive sampling (the exact
+    /// per-class scan or the approximate HNSW graphs from `enld-ann`).
     pub index: IndexBackend,
     /// Master seed for model init, splits and sampling.
     pub seed: u64,

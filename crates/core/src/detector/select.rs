@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn oversized_k_is_handled() {
         // k far beyond the candidate pool must still produce a valid
-        // partition (KD-tree queries return what exists).
+        // partition (a class scan returns what exists).
         let mut lake = small_lake(0.2, 12);
         let mut cfg = EnldConfig::fast_test();
         cfg.k = 500;

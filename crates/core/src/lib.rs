@@ -10,8 +10,8 @@
 //!    `P̃(y* = j | ỹ = i)` from `θ`'s confusion on `I_c` (paper Eq. 3–5).
 //! 2. **Per-arrival detection** ([`detector::Enld::detect`]): find the
 //!    *ambiguous* samples of the incremental dataset, select *contrastive
-//!    samples* from the high-quality inventory via per-class KD-trees
-//!    (Alg. 2), and run fine-grained noisy-label detection — warm-up,
+//!    samples* from the high-quality inventory by a per-class nearest-
+//!    neighbour scan (Alg. 2), and run fine-grained noisy-label detection — warm-up,
 //!    `t` iterations × `s` steps of fine-tune + majority voting, with
 //!    re-sampling each iteration (Alg. 3).
 //!

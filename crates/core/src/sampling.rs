@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use enld_knn::brute::k_nearest;
 use enld_knn::class_index::ClassIndex;
-use enld_knn::kdtree::KdTree;
 use enld_knn::NeighborIndex;
 use enld_nn::loss::entropy;
 use enld_nn::matrix::Matrix;
@@ -87,8 +87,8 @@ impl SamplingPolicy {
 /// high-quality samples and the conditional `P̃` that proposes which
 /// class to query.
 pub struct ContrastSource<'a> {
-    /// Any [`NeighborIndex`] backend (exact KD-trees or the approximate
-    /// HNSW graphs) whose hits map back to `I_c` indices.
+    /// Any [`NeighborIndex`] backend (the exact per-class scan or the
+    /// approximate HNSW graphs) whose hits map back to `I_c` indices.
     pub index: &'a dyn NeighborIndex,
     /// Labels available among the high-quality samples; candidate draws
     /// are restricted to them.
@@ -264,26 +264,29 @@ impl AdditionStrategy {
 ///
 /// * `test_feats` — features of the test samples (queries);
 /// * `test_true_labels` — their ground-truth labels;
-/// * `ic_tree` — KD-tree over all `I_c` features (for Nearest-Only);
+/// * `ic_feats` — features of all `I_c` samples, scanned by Nearest-Only
+///   (its row count is Random's range);
 /// * `ic_true_index` — per-*true*-class index over `I_c` features (for
-///   Nearest-Related);
-/// * `ic_len` — number of `I_c` samples (for Random).
+///   Nearest-Related).
 pub fn addition_selection(
     strategy: AdditionStrategy,
     test_feats: &Matrix,
     test_true_labels: &[u32],
-    ic_tree: &KdTree,
+    ic_feats: &Matrix,
     ic_true_index: &ClassIndex,
-    ic_len: usize,
     rng: &mut StdRng,
 ) -> Vec<usize> {
     assert_eq!(test_feats.rows(), test_true_labels.len(), "test shape mismatch");
     match strategy {
         AdditionStrategy::Random => {
-            (0..test_feats.rows()).map(|_| rng.gen_range(0..ic_len)).collect()
+            (0..test_feats.rows()).map(|_| rng.gen_range(0..ic_feats.rows())).collect()
         }
         AdditionStrategy::NearestOnly => (0..test_feats.rows())
-            .filter_map(|r| ic_tree.k_nearest(test_feats.row(r), 1).first().map(|h| h.index))
+            .filter_map(|r| {
+                k_nearest(ic_feats.data(), ic_feats.cols(), test_feats.row(r), 1)
+                    .first()
+                    .map(|h| h.index)
+            })
             .collect(),
         AdditionStrategy::NearestRelated => (0..test_feats.rows())
             .filter_map(|r| {
@@ -506,8 +509,8 @@ mod tests {
         let ic_feats = vec![0.0f32, 0.0, 5.0, 0.0, 0.3, 0.0];
         let ic_true = vec![0u32, 1, 1];
         let keep: Vec<usize> = (0..3).collect();
-        let tree = KdTree::build(&ic_feats, 2);
         let index = ClassIndex::build(&ic_feats, 2, &ic_true, &keep);
+        let ic_feats = Matrix::from_vec(3, 2, ic_feats);
         let test = Matrix::from_vec(1, 2, vec![0.1, 0.0]);
         let mut rng = StdRng::seed_from_u64(9);
 
@@ -516,9 +519,8 @@ mod tests {
             AdditionStrategy::NearestOnly,
             &test,
             &[1],
-            &tree,
+            &ic_feats,
             &index,
-            3,
             &mut rng,
         );
         assert_eq!(only, vec![0]);
@@ -527,15 +529,14 @@ mod tests {
             AdditionStrategy::NearestRelated,
             &test,
             &[1],
-            &tree,
+            &ic_feats,
             &index,
-            3,
             &mut rng,
         );
         assert_eq!(related, vec![2]);
         // Random stays in range.
         let random =
-            addition_selection(AdditionStrategy::Random, &test, &[1], &tree, &index, 3, &mut rng);
+            addition_selection(AdditionStrategy::Random, &test, &[1], &ic_feats, &index, &mut rng);
         assert!(random.iter().all(|&i| i < 3));
     }
 

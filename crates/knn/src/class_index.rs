@@ -1,24 +1,17 @@
-//! Per-class KD-tree index — "we build KD-Tree structures for each
-//! category in `H`" (paper §IV-D Implementation).
-//!
-//! Contrastive sampling draws the `k` nearest *high-quality samples of a
-//! chosen class* for every ambiguous sample, so the natural index is one
-//! KD-tree per observed label, built over the model's feature vectors.
+//! Per-class exact index for Alg. 2's "`k` nearest high-quality samples
+//! of class `j`": each label's feature rows sit contiguous and a query
+//! scans them, where paper §IV-D builds a KD-tree per class (DESIGN.md §2).
 
 use std::collections::BTreeMap;
 
+use crate::brute::{scan, Neighbor};
 use crate::index::NeighborIndex;
-use crate::kdtree::{KdTree, Neighbor};
 
-/// Per-class build input: flat feature rows plus the global sample index
-/// behind each row.
-type ClassBucket = (Vec<f32>, Vec<usize>);
-
-/// One KD-tree per class over feature vectors, remembering the global
-/// sample index behind every tree-local point.
+/// Per-class feature rows: for each label, its flat `rows × dim` features
+/// plus the global sample index behind each row.
 #[derive(Debug, Clone)]
 pub struct ClassIndex {
-    trees: BTreeMap<u32, (KdTree, Vec<usize>)>,
+    classes: BTreeMap<u32, (Vec<f32>, Vec<usize>)>,
     dim: usize,
 }
 
@@ -36,34 +29,28 @@ impl ClassIndex {
         assert!(dim > 0, "dim must be positive");
         assert_eq!(features.len(), labels.len() * dim, "feature/label shape mismatch");
         assert_eq!(labels.len(), keep.len(), "label/keep length mismatch");
-        let mut grouped: BTreeMap<u32, ClassBucket> = BTreeMap::new();
+        let mut classes: BTreeMap<u32, (Vec<f32>, Vec<usize>)> = BTreeMap::new();
         for (row, (&label, &global)) in labels.iter().zip(keep).enumerate() {
-            let entry = grouped.entry(label).or_default();
+            let entry = classes.entry(label).or_default();
             entry.0.extend_from_slice(&features[row * dim..(row + 1) * dim]);
             entry.1.push(global);
         }
-        // A per-class tree over a round's candidates builds in microseconds:
-        // cheaper than a dispatch, so a plain loop.
-        let trees = grouped
-            .into_iter()
-            .map(|(label, (rows, globals))| (label, (KdTree::build(&rows, dim), globals)))
-            .collect();
-        Self { trees, dim }
+        Self { classes, dim }
     }
 
     /// Classes present in the index.
     pub fn classes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.trees.keys().copied()
+        self.classes.keys().copied()
     }
 
     /// Number of indexed samples of `label`.
     pub fn class_len(&self, label: u32) -> usize {
-        self.trees.get(&label).map_or(0, |(t, _)| t.len())
+        self.classes.get(&label).map_or(0, |(_, globals)| globals.len())
     }
 
     /// Total indexed samples.
     pub fn len(&self) -> usize {
-        self.trees.values().map(|(t, _)| t.len()).sum()
+        self.classes.values().map(|(_, globals)| globals.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -71,17 +58,14 @@ impl ClassIndex {
     }
 
     /// The `k` nearest samples *of class `label`* to `query`; results carry
-    /// the global sample indices supplied at build time. Empty when the
-    /// class is absent.
+    /// the global sample indices supplied at build time, ascending by
+    /// `(dist_sq, global index)`. Empty when the class is absent.
     pub fn k_nearest_in_class(&self, label: u32, query: &[f32], k: usize) -> Vec<Neighbor> {
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        let Some((tree, globals)) = self.trees.get(&label) else {
+        let Some((rows, globals)) = self.classes.get(&label) else {
             return Vec::new();
         };
-        tree.k_nearest(query, k)
-            .into_iter()
-            .map(|n| Neighbor { index: globals[n.index], dist_sq: n.dist_sq })
-            .collect()
+        scan(rows, self.dim, query, k, |row| globals[row])
     }
 
     /// Batched [`Self::k_nearest_in_class`]: answers query `i` (row `i` of
@@ -180,6 +164,15 @@ mod tests {
                 assert_eq!(got, &want, "query {i} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn ties_at_the_kth_distance_keep_the_lower_global_index() {
+        let idx = ClassIndex::build(&[-1.0, 0.0, 1.0, 0.0], 2, &[0, 0], &[0, 1]);
+        assert_eq!(idx.k_nearest_in_class(0, &[0.0, 0.0], 1)[0].index, 0);
+        // The order is by global index, not by row: here row 0 is global 1.
+        let idx = ClassIndex::build(&[-1.0, 0.0, 1.0, 0.0], 2, &[0, 0], &[1, 0]);
+        assert_eq!(idx.k_nearest_in_class(0, &[0.0, 0.0], 1)[0].index, 0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! keeps only the largest connected component, dropping isolated samples
 //! as noisy. This module supplies the graph machinery.
 
-use crate::kdtree::KdTree;
+use std::cmp::Reverse;
+
+use crate::brute::k_nearest;
 
 /// Disjoint-set forest with union by size and path compression.
 #[derive(Debug, Clone)]
@@ -57,38 +59,28 @@ impl UnionFind {
 /// Builds the mutual-reachability k-NN graph over `points` and returns the
 /// member indices of the **largest connected component** (ties broken by
 /// smallest representative). An edge joins every point to each of its `k`
-/// nearest neighbours.
+/// nearest neighbours, ties at the `k`-th distance going to the lower
+/// index.
 ///
 /// Returns an empty vector for an empty point set.
 pub fn largest_knn_component(points: &[f32], dim: usize, k: usize) -> Vec<usize> {
     assert!(dim > 0, "dim must be positive");
     assert_eq!(points.len() % dim, 0, "point buffer not a multiple of dim");
     let n = points.len() / dim;
-    if n == 0 {
-        return Vec::new();
-    }
-    let tree = KdTree::build(points, dim);
     let mut uf = UnionFind::new(n);
     for i in 0..n {
         let q = &points[i * dim..(i + 1) * dim];
         // k+1 because the query point itself is among the results.
-        for hit in tree.k_nearest(q, k + 1) {
+        for hit in k_nearest(points, dim, q, k + 1) {
             if hit.index != i {
                 uf.union(i, hit.index);
             }
         }
     }
-    let mut best_root = 0;
-    let mut best_size = 0;
-    for i in 0..n {
-        let s = uf.set_size(i);
-        let root = uf.find(i);
-        if s > best_size || (s == best_size && root < uf.find(best_root)) {
-            best_size = s;
-            best_root = root;
-        }
-    }
-    let best_root = uf.find(best_root);
+    let Some((_, Reverse(best_root))) = (0..n).map(|i| (uf.set_size(i), Reverse(uf.find(i)))).max()
+    else {
+        return Vec::new();
+    };
     (0..n).filter(|&i| uf.find(i) == best_root).collect()
 }
 
@@ -128,6 +120,15 @@ mod tests {
         let pts = vec![0.0f32, 0.0, 1.0, 0.0, 50.0, 50.0];
         let comp = largest_knn_component(&pts, 2, 2);
         assert_eq!(comp.len(), 3, "k = n-1 must connect all points");
+    }
+
+    #[test]
+    fn tied_neighbours_link_the_lower_index() {
+        // Point 2 at the origin is equidistant from 0 at (-1,0) and 1 at
+        // (1,0); each of those pairs with a point at (±1.5, 0). The edge
+        // 2 takes decides which pair joins it in the largest component.
+        let pts = vec![-1.0f32, 0.0, 1.0, 0.0, 0.0, 0.0, -1.5, 0.0, 1.5, 0.0];
+        assert_eq!(largest_knn_component(&pts, 2, 1), vec![0, 2, 3]);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Contrastive sampling (Alg. 2) asks an index one thing: the `k`
 //! nearest samples of a chosen class for each ambiguous sample, as one
 //! batch. This module captures that contract as [`NeighborIndex`] so the
-//! detector can swap the exact per-class KD-trees ([`crate::ClassIndex`])
+//! detector can swap the exact per-class scan ([`crate::ClassIndex`])
 //! for the HNSW index (`enld-ann`'s `AnnClassIndex`) behind a single
 //! `--index exact|hnsw` flag.
 
-use crate::kdtree::Neighbor;
+use crate::brute::Neighbor;
 
 /// The query contrastive sampling makes of the exact and approximate
 /// per-class indexes. Both are built over `H` and never edited, and each
@@ -56,7 +56,7 @@ impl Default for AnnParams {
 /// Which neighbour index the detector builds for contrastive sampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexBackend {
-    /// Exact per-class KD-trees, rebuilt from scratch every round.
+    /// Exact per-class scan, its rows regrouped every round.
     #[default]
     Exact,
     /// Approximate per-class HNSW graphs (`enld-ann`): the graph over

@@ -2,14 +2,13 @@
 //!
 //! The paper's contrastive sampling runs repeated k-nearest queries over
 //! the high-quality inventory samples; §IV-D prescribes per-class KD-trees
-//! to cut the query cost from `O(c·|A|·|H'|)` to `O(k·|A|·log|H'|)`. This
-//! crate provides:
+//! for them. On this repo's 96-d features a tree prunes almost nothing,
+//! so one exact scan answers them (DESIGN.md §2). This crate provides:
 //!
-//! * [`kdtree::KdTree`] — a balanced KD-tree over `f32` vectors with
-//!   bounded-priority k-NN search;
-//! * [`brute::brute_k_nearest`] — the exact reference the tests compare
-//!   every index against;
-//! * [`class_index::ClassIndex`] — one KD-tree per label, as Alg. 2 needs;
+//! * [`brute::k_nearest`] — exact k-NN by a linear scan with a bounded
+//!   top-`k` selection, ascending by `(dist_sq, index)`;
+//! * [`class_index::ClassIndex`] — each label's rows kept contiguous and
+//!   scanned, as Alg. 2 needs;
 //! * [`index::NeighborIndex`] — the query contract [`ClassIndex`] shares
 //!   with `enld-ann`'s HNSW index, selected by [`IndexBackend`];
 //! * [`graph`] — a KNN graph and union-find connected components, the
@@ -18,13 +17,15 @@
 //! # Example
 //!
 //! ```
-//! use enld_knn::kdtree::KdTree;
+//! use enld_knn::ClassIndex;
 //!
-//! let points = vec![0.0f32, 0.0, 1.0, 1.0, 5.0, 5.0];
-//! let tree = KdTree::build(&points, 2);
-//! let hits = tree.k_nearest(&[0.9, 0.9], 2);
-//! assert_eq!(hits[0].index, 1); // (1,1) is closest to (0.9,0.9)
-//! assert_eq!(hits[1].index, 0);
+//! // Class 0 near the origin, class 1 at (5,5); globals 10, 11, 12.
+//! let features = vec![0.0f32, 0.0, 1.0, 1.0, 5.0, 5.0];
+//! let index = ClassIndex::build(&features, 2, &[0, 0, 1], &[10, 11, 12]);
+//! let hits = index.k_nearest_in_class(0, &[0.9, 0.9], 2);
+//! assert_eq!(hits[0].index, 11); // (1,1) is closest to (0.9,0.9)
+//! assert_eq!(hits[1].index, 10);
+//! assert_eq!(index.k_nearest_in_class(1, &[0.9, 0.9], 2)[0].index, 12);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,11 +34,10 @@ pub mod brute;
 pub mod class_index;
 pub mod graph;
 pub mod index;
-pub mod kdtree;
 
+pub use brute::Neighbor;
 pub use class_index::ClassIndex;
 pub use index::{AnnParams, IndexBackend, NeighborIndex};
-pub use kdtree::{KdTree, Neighbor};
 
 /// The seeded splitmix64 stream behind the property tests.
 #[cfg(test)]

@@ -12,14 +12,18 @@ if grep -rnE 'serde|parking_lot|crossbeam' --include='*.rs' crates tests example
   exit 1
 fi
 
-echo "==> non-test lines per crate (telemetry at most 4,000)"
+echo "==> non-test lines per crate (telemetry at most 4,000, knn at most 400)"
 LOC=$(bash scripts/loc.sh)
 printf '%s\n' "$LOC"
-TELEMETRY_LOC=$(printf '%s\n' "$LOC" | awk '$1 == "crates/telemetry" { print $2 }')
-if [ "$TELEMETRY_LOC" -gt 4000 ]; then
-  echo "crates/telemetry has $TELEMETRY_LOC non-test lines (limit 4000)"
-  exit 1
-fi
+for budget in telemetry:4000 knn:400; do
+  crate=${budget%%:*}
+  limit=${budget#*:}
+  lines=$(printf '%s\n' "$LOC" | awk -v c="crates/$crate" '$1 == c { print $2 }')
+  if [ "$lines" -gt "$limit" ]; then
+    echo "crates/$crate has $lines non-test lines (limit $limit)"
+    exit 1
+  fi
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -14,8 +14,7 @@ use enld_ann::AnnClassIndex;
 use enld_core::{config::EnldConfig, detector::Enld};
 use enld_datagen::presets::DatasetPreset;
 use enld_knn::class_index::ClassIndex;
-use enld_knn::kdtree::Neighbor;
-use enld_knn::{AnnParams, IndexBackend};
+use enld_knn::{AnnParams, IndexBackend, Neighbor};
 use enld_lake::lake::{DataLake, LakeConfig};
 use enld_nn::matrix::Matrix;
 use rand::rngs::StdRng;

@@ -313,7 +313,7 @@ fn prop_hnsw_matches_brute_force_when_ef_covers_the_shard() {
     }
 }
 
-/// The sharded class index agrees with the exact KD-trees whenever
+/// The sharded class index agrees with the exact class scan whenever
 /// the beam covers each class shard, for every class in the set.
 #[test]
 fn prop_ann_class_index_matches_exact_at_full_beam() {
