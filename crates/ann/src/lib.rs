@@ -3,9 +3,9 @@
 //! ENLD's contrastive sampling (Alg. 2) answers "k nearest high-quality
 //! samples of class `j`" queries. This crate supplies the approximate
 //! alternative to the exact per-class scan behind the `--index hnsw`
-//! flag. `H` changes only when Alg. 4 retrains the model, which moves
-//! every feature, so the index is built, queried and persisted, never
-//! edited:
+//! flag. The detector builds one index per selection round, over that
+//! round's high-quality candidates under that round's model, queries it
+//! and drops it: an index is never persisted or patched.
 //!
 //! * [`shard::HnswShard`] — an HNSW-style layered proximity graph over one
 //!   class, with deterministic level assignment from a counter-derived
@@ -13,15 +13,11 @@
 //! * [`class_index::AnnClassIndex`] — one shard per class behind the same
 //!   batched query as `enld_knn::ClassIndex` (it implements
 //!   [`enld_knn::NeighborIndex`]), with `enld-par`-sharded builds and
-//!   batched queries that are **bit-identical at any thread count**, plus
-//!   versioned + checksummed persistence
-//!   ([`class_index::AnnClassIndex::to_bytes`]) so checkpoint resume
-//!   skips the rebuild.
+//!   batched queries that are **bit-identical at any thread count**.
 //!
-//! Chaos failpoints cover the build and persistence seams (`ann.insert`,
-//! `ann.persist`), and the index reports `enld.ann.inserts_total`,
-//! `enld.ann.queries_total`, `enld.ann.hops_total`, and the
-//! `enld.ann.recall_probe` gauge through `enld_telemetry::metrics`.
+//! The `ann.insert` chaos failpoint covers the build, and the index
+//! reports `enld.ann.inserts_total`, `enld.ann.queries_total` and
+//! `enld.ann.hops_total` through `enld_telemetry::metrics`.
 //!
 //! # Example
 //!
@@ -33,11 +29,10 @@
 //! let labels = vec![0u32, 0, 1, 1];
 //! let keep = vec![100usize, 101, 102, 103];
 //! let index = AnnClassIndex::build(&features, 2, &labels, &keep, AnnParams::default());
+//! // Only class 1's shard is searched, and hits carry global indices.
 //! let hits = index.k_nearest_in_class(1, &[0.0, 0.0], 1);
 //! assert_eq!(hits[0].index, 102);
-//! // The graph persists whole, so a checkpoint resume skips the rebuild.
-//! let back = AnnClassIndex::from_bytes(&index.to_bytes()).unwrap();
-//! assert_eq!(back.k_nearest_in_class(1, &[0.0, 0.0], 1), hits);
+//! assert!(index.k_nearest_in_class(7, &[0.0, 0.0], 1).is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,7 +66,7 @@ pub(crate) mod testutil {
     }
 }
 
-pub use class_index::{AnnClassIndex, AnnDecodeError};
+pub use class_index::AnnClassIndex;
 pub use shard::{HnswShard, SearchStats};
 
 #[cfg(test)]
@@ -98,19 +93,5 @@ mod failpoint_tests {
         let result = std::panic::catch_unwind(instance);
         assert!(result.is_err(), "5th insert must panic");
         enld_chaos::disarm_all();
-    }
-
-    #[test]
-    #[ignore = "arms global failpoints; run with --ignored --test-threads=1"]
-    fn persist_failpoint_fires_on_serialise() {
-        let _lock = enld_chaos::scenario();
-        let index = instance();
-        enld_chaos::arm_from_spec("ann.persist=panic").unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| index.to_bytes()));
-        assert!(result.is_err(), "to_bytes must hit ann.persist");
-        enld_chaos::disarm_all();
-        // Disarmed, serialisation works and the blob decodes.
-        let blob = index.to_bytes();
-        assert_eq!(AnnClassIndex::from_bytes(&blob).unwrap().len(), index.len());
     }
 }

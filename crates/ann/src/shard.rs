@@ -18,7 +18,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use enld_chaos::durable::{Dec, Enc};
+use enld_chaos::durable::Enc;
 use enld_knn::index::AnnParams;
 use enld_knn::Neighbor;
 
@@ -106,19 +106,6 @@ impl HnswShard {
 
     pub fn is_empty(&self) -> bool {
         self.levels.is_empty()
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    pub fn params(&self) -> AnnParams {
-        self.params
-    }
-
-    /// `(global, point)` of every node, in insertion order.
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = (usize, &[f32])> + '_ {
-        self.globals.iter().copied().zip(self.points.chunks_exact(self.dim))
     }
 
     #[inline]
@@ -346,8 +333,7 @@ impl HnswShard {
 
     /// Cheap `O(edges)` structural validation: array shapes, layer caps,
     /// link targets in range and deep enough (layer monotonicity), and an
-    /// entry point in range. This is what `HnswShard::decode` runs
-    /// on every restored shard.
+    /// entry point in range.
     pub fn validate_shapes(&self) -> Result<(), String> {
         let n = self.levels.len();
         if self.points.len() != n * self.dim || self.globals.len() != n || self.links.len() != n {
@@ -397,8 +383,9 @@ impl HnswShard {
         Ok(())
     }
 
-    // ---- persistence ----------------------------------------------------
-
+    /// Appends the shard's arrays to `enc`. Only
+    /// [`AnnClassIndex::to_bytes`](crate::AnnClassIndex::to_bytes) calls
+    /// it, for the benchmark's `ann.blob_bytes`; both go with that metric.
     pub(crate) fn encode(&self, enc: &mut Enc) {
         enc.usize(self.dim);
         enc.usize(self.params.m);
@@ -411,31 +398,6 @@ impl HnswShard {
         enc.usize_slice(&self.globals);
         enc.u8_slice(&self.levels);
         enc.seq(&self.links, |e, layers| e.seq(layers, |e, list| e.u32_slice(list)));
-    }
-
-    pub(crate) fn decode(dec: &mut Dec<'_>) -> Result<Self, String> {
-        let dim = dec.usize()?;
-        if dim == 0 {
-            return Err("shard dim must be positive".into());
-        }
-        let params = AnnParams {
-            m: dec.usize()?,
-            ef_construction: dec.usize()?,
-            ef_search: dec.usize()?,
-            seed: dec.u64()?,
-        };
-        let seed = dec.u64()?;
-        let entry = match dec.u32()? {
-            u32::MAX => None,
-            e => Some(e),
-        };
-        let points = dec.f32_vec()?;
-        let globals = dec.usize_vec()?;
-        let levels = dec.u8_vec()?;
-        let links = dec.seq(|d| d.seq(Dec::u32_vec))?;
-        let shard = Self { dim, params, seed, points, globals, levels, links, entry };
-        shard.validate_shapes()?;
-        Ok(shard)
     }
 }
 
@@ -503,25 +465,5 @@ mod tests {
         // Same insertion counters ⇒ same level sequence, independent of
         // the point values.
         assert_eq!(a.levels, b.levels);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let dim = 6;
-        let pts = random_points(40, dim, 13);
-        let shard = build_shard(&pts, dim, AnnParams::default());
-        let mut enc = Enc::default();
-        shard.encode(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = Dec::new(&bytes);
-        let back = HnswShard::decode(&mut dec).unwrap();
-        assert_eq!(dec.remaining(), 0);
-        assert_eq!(back.len(), shard.len());
-        let q = &pts[3 * dim..4 * dim];
-        assert_eq!(shard.k_nearest(q, 4).0, back.k_nearest(q, 4).0);
-        // And the restored shard accepts further mutations.
-        let mut back = back;
-        back.insert(999, &pts[0..dim]);
-        back.check_invariants().unwrap();
     }
 }

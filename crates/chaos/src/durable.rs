@@ -3,11 +3,11 @@
 //! frame ([`seal`] / [`open`]) and the atomic file replace
 //! ([`write_atomic`]).
 //!
-//! The detector checkpoint (`ENLDCKPT`), its in-flight task part
-//! (`ENLDTASK`, bound to a checkpoint by that frame's [`checksum`]) and
-//! the ANN index blob (`ENLDANNX`, embedded opaquely inside the
-//! checkpoint) are sealed frames; the checkpoint, its part and the
-//! metrics snapshot are published with [`write_atomic`]. A frame is
+//! The detector checkpoint (`ENLDCKPT`) and its in-flight task part
+//! (`ENLDTASK`, bound to a checkpoint by that frame's [`checksum`]) are
+//! sealed frames, as is the ANN index blob (`ENLDANNX`) the benchmark
+//! sizes; the checkpoint, its part and the metrics snapshot are
+//! published with [`write_atomic`]. A frame is
 //!
 //! ```text
 //! magic [u8; 8] · version u32 · payload_len u64 · fnv1a64(payload) u64 · payload

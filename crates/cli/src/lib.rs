@@ -346,16 +346,8 @@ pub fn detect_with_recovery(
         let path = recovery.checkpoint.as_deref().expect("checked above");
         let ckpt = Checkpoint::load(path)
             .map_err(|e| CliError::BadInput(format!("checkpoint {}: {e}", path.display())))?;
-        let restored_ann = ckpt.ann.is_some();
-        let enld = Enld::resume_from(&file.inventory, &cfg, &ckpt)
-            .map_err(|e| CliError::BadInput(format!("checkpoint {}: {e}", path.display())))?;
-        if restored_ann {
-            println!(
-                "restored {}-sample ann index from checkpoint (rebuild skipped)",
-                enld.ann_index_len().unwrap_or(0)
-            );
-        }
-        enld
+        Enld::resume_from(&file.inventory, &cfg, &ckpt)
+            .map_err(|e| CliError::BadInput(format!("checkpoint {}: {e}", path.display())))?
     } else {
         Enld::init(&file.inventory, &cfg)
     };

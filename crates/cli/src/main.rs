@@ -87,10 +87,10 @@ time, the slowest trace's critical path, and optional Chrome-trace/folded
 flamegraph exports
 
 --index hnsw swaps the exact per-class scan for approximate HNSW graphs
-(sub-millisecond batched queries; the graph over the high-quality set is
-built at init and after a model update, never patched, and persisted inside
-checkpoints); the default 'exact' regroups each class's rows per round and
-scans them, with no build step
+(sub-millisecond batched queries; each selection round builds its graphs
+over that round's high-quality candidates, and none is patched or persisted);
+the default 'exact' regroups each class's rows per round and scans them, with
+no build step
 
 --checkpoint FILE persists detector state atomically at iteration boundaries
 (a task in flight in FILE.task beside it); --resume restores it and continues,

@@ -17,7 +17,7 @@
 //! checksummed frames, so a restore is bit-exact. On disk a checkpoint
 //! is two files:
 //!
-//! * **the base**, `<path>`: a v2 frame under magic `ENLDCKPT` holding
+//! * **the base**, `<path>`: a v3 frame under magic `ENLDCKPT` holding
 //!   everything but a task in flight, with `tasks` counting completed
 //!   tasks only. It changes only at task and update boundaries.
 //! * **the part**, `<path>.task`: a frame under magic
@@ -52,9 +52,10 @@ use crate::sampling::{ContrastSample, SampleSource};
 /// File magic, first 8 bytes of every checkpoint.
 pub const MAGIC: [u8; 8] = *b"ENLDCKPT";
 /// Current format version; bump on any encoding change.
-/// v2 added the optional serialized ANN index blob. The base/part split
-/// did not change it: a base is a v2 frame with no in-flight section.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// v3 dropped v2's optional ANN index blob, the section that closed the
+/// payload: no index outlives a selection round. A base is a v3 frame
+/// with no in-flight section.
+pub const CHECKPOINT_VERSION: u32 = 3;
 /// Magic of the in-flight part.
 const TASK_MAGIC: [u8; 8] = *b"ENLDTASK";
 /// Format version of the in-flight part.
@@ -190,15 +191,10 @@ pub struct Checkpoint<'a> {
     pub cond: CondState,
     pub model: Cow<'a, [Dense]>,
     pub in_flight: Option<Cow<'a, InFlightTask>>,
-    /// Serialized HNSW index over the high-quality set (`--index hnsw`
-    /// runs only). Opaque, internally checksummed `enld-ann` blob;
-    /// `None` for the exact backend. Restoring it on `--resume` skips
-    /// the index rebuild entirely.
-    pub ann: Option<Vec<u8>>,
 }
 
 impl Checkpoint<'_> {
-    /// Serialises to one framed v2 checkpoint (magic/version/checksum),
+    /// Serialises to one framed v3 checkpoint (magic/version/checksum),
     /// in-flight section included.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.frame(self.tasks, self.in_flight.as_deref())
@@ -306,7 +302,6 @@ impl Checkpoint<'_> {
         e.f64_slice(&self.cond.cond);
         encode_model(e, &self.model);
         e.opt(in_flight, |e, task| encode_in_flight(e, task, &task.theta));
-        e.opt(self.ann.as_deref(), Enc::u8_slice);
     }
 
     fn decode(d: &mut Dec<'_>) -> Result<Checkpoint<'static>, String> {
@@ -326,7 +321,6 @@ impl Checkpoint<'_> {
         let cond = CondState { classes, joint, cond: cond_rows };
         let model = Cow::Owned(decode_model(d)?);
         let in_flight = d.opt("in-flight", decode_in_flight)?.map(Cow::Owned);
-        let ann = d.opt("ann-index", Dec::u8_vec)?;
         Ok(Checkpoint {
             config_fp,
             inventory_fp,
@@ -338,7 +332,6 @@ impl Checkpoint<'_> {
             cond,
             model,
             in_flight,
-            ann,
         })
     }
 }
@@ -387,7 +380,7 @@ fn bind_part(part: &[u8], base: u64, number: usize) -> Result<Option<InFlightTas
 }
 
 /// The stored name of tensor `i` of `n`: redundant with its position in
-/// the walk, derived here so the v2 byte layout stays what it was.
+/// the walk, derived here so the byte layout stays what it was.
 fn tensor_name(i: usize, n: usize) -> String {
     match i {
         0 => "embed".into(),
@@ -503,7 +496,7 @@ fn decode_in_flight(d: &mut Dec<'_>) -> Result<InFlightTask, String> {
 }
 
 fn encode_trace(e: &mut Enc, t: &TaskTrace) {
-    // Width of a vote row: redundant with `votes`, kept so the v2 byte
+    // Width of a vote row: redundant with `votes`, kept so the byte
     // layout stays what it was.
     e.usize(t.votes.first().and_then(|s| s.first()).map_or(0, Vec::len));
     e.seq(&t.votes, |e, per_sample| e.seq(per_sample, |e, per_iter| e.bool_slice(per_iter)));
@@ -619,7 +612,6 @@ mod tests {
                     }]],
                 }),
             })),
-            ann: Some(vec![0xEE, 0x00, 0x7F]),
         }
     }
 
@@ -631,13 +623,15 @@ mod tests {
         assert_eq!(back, ckpt);
     }
 
-    /// The layout proof: a blob the previous release wrote — a
-    /// ledger-attached task stopped between iterations, so the in-flight
-    /// and trace sections are both present — decodes into the one task
-    /// type and re-encodes to the same bytes.
+    /// The layout proof: a blob of a ledger-attached task stopped between
+    /// iterations, so the in-flight and trace sections are both present,
+    /// decodes into the one task type and re-encodes to the same bytes.
+    /// It is the v2 fixture less the absent ANN blob's presence byte that
+    /// closed v2's payload, resealed as v3; the v2 bytes themselves now
+    /// fail the version check.
     #[test]
-    fn committed_v2_fixture_round_trips_byte_identically() {
-        let blob = include_bytes!("../../../tests/fixtures/ckpt_v2_in_flight.bin");
+    fn committed_v3_fixture_round_trips_byte_identically() {
+        let blob = include_bytes!("../../../tests/fixtures/ckpt_v3_in_flight.bin");
         let ckpt = Checkpoint::from_bytes(blob).expect("fixture decodes");
         let task = ckpt.in_flight.as_deref().expect("fixture carries a task in flight");
         assert_eq!(task.next_iteration, 2, "stopped after the second iteration");
@@ -648,6 +642,12 @@ mod tests {
         assert!(trace.draws.iter().flatten().any(|d| d.round >= 0));
         assert!(task.pseudo_votes.iter().any(|v| !v.is_empty()), "missing labels present");
         assert_eq!(ckpt.to_bytes(), blob);
+
+        let v2 = include_bytes!("../../../tests/fixtures/ckpt_v2_in_flight.bin");
+        let v2_payload = durable::open(&MAGIC, 2, v2).expect("a v2 frame");
+        assert_eq!(v2_payload.split_last(), Some((&0, durable::open(&MAGIC, 3, blob).unwrap())));
+        let err = Checkpoint::from_bytes(v2).expect_err("v2 is not read");
+        assert!(matches!(err, CheckpointError::Format(ref m) if m.contains("version 2")), "{err}");
     }
 
     #[test]
@@ -773,7 +773,7 @@ mod tests {
         assert!(!dir.join("round_trip.ckpt.tmp").exists(), "tmp sibling must be renamed away");
         assert!(!dir.join("round_trip.ckpt.task.tmp").exists(), "tmp sibling must be renamed away");
         // The base counts completed tasks only and carries no task…
-        let base = Checkpoint::from_bytes(&fs::read(&path).expect("base")).expect("a v2 frame");
+        let base = Checkpoint::from_bytes(&fs::read(&path).expect("base")).expect("a v3 frame");
         assert_eq!((base.tasks, base.in_flight.is_none()), (ckpt.tasks - 1, true));
         // …which the part beside it adds back.
         assert!(part_path(&path).exists());
@@ -845,7 +845,7 @@ mod tests {
     fn a_single_frame_checkpoint_carries_its_task_inline() {
         let dir = scratch_dir("inline");
         let path = dir.join("inline.ckpt");
-        let blob = include_bytes!("../../../tests/fixtures/ckpt_v2_in_flight.bin");
+        let blob = include_bytes!("../../../tests/fixtures/ckpt_v3_in_flight.bin");
         fs::write(&path, blob).expect("write the fixture");
         let expect = Checkpoint::from_bytes(blob).expect("fixture decodes");
         assert_eq!(Checkpoint::load(&path).expect("load"), expect);

@@ -14,10 +14,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use enld_ann::AnnClassIndex;
 use enld_datagen::split::split_half;
 use enld_datagen::Dataset;
-use enld_knn::IndexBackend;
 use enld_nn::data::DataRef;
 use enld_nn::matrix::Matrix;
 use enld_nn::model::{argmax, Mlp};
@@ -55,12 +53,6 @@ pub struct Enld {
     /// checkpoints so resume can reject a different inventory.
     inventory_fp: u64,
     recovery: Recovery,
-    /// Persistent approximate index over the general-model features of
-    /// `H` (`IndexBackend::Hnsw` only): queried for the round −1
-    /// selection of every task and embedded into checkpoints so a resume
-    /// skips the rebuild. Built again, never edited, when `H` or the
-    /// model changes. `None` for the exact backend.
-    ann: Option<AnnClassIndex>,
 }
 
 /// Crash-recovery wiring. It belongs to one instance: cloning a detector
@@ -143,7 +135,7 @@ impl Enld {
         setup_span.record("secs", setup_secs);
 
         let sc_accum = vec![false; i_c.len()];
-        let mut this = Self {
+        Self {
             setup_secs,
             config: *config,
             model,
@@ -157,38 +149,7 @@ impl Enld {
             ledger: None,
             inventory_fp: checkpoint::dataset_fingerprint(inventory),
             recovery: Recovery::default(),
-            ann: None,
-        };
-        this.ann = this.build_hq_ann();
-        this
-    }
-
-    /// Builds the persistent HNSW index over the general-model features
-    /// of the current high-quality set `H`, probing its recall so the
-    /// `enld.ann.recall_probe` gauge reflects the fresh graph. Returns
-    /// `None` for the exact backend.
-    fn build_hq_ann(&self) -> Option<AnnClassIndex> {
-        let IndexBackend::Hnsw(params) = self.config.index else { return None };
-        let _s = telemetry::debug_span("enld.ann.build").timed("enld.ann.build_secs").entered();
-        let index = if self.hq.is_empty() {
-            // Degenerate filter output: an empty graph (round −1 then has
-            // no high-quality candidate and draws from I' at random).
-            AnnClassIndex::build(&[], self.model.config().width, &[], &[], params)
-        } else {
-            let ic_view = DataRef::new(self.i_c.xs(), self.i_c.labels(), self.i_c.dim());
-            let rows = ic_view.gather(&self.hq);
-            let labels = ic_view.gather_labels(&self.hq);
-            let feats = self.model.features(DataRef::new(rows.data(), &labels, rows.cols()));
-            AnnClassIndex::build(feats.data(), feats.cols(), &labels, &self.hq, params)
-        };
-        index.recall_probe(self.config.k.max(2));
-        Some(index)
-    }
-
-    /// Live samples in the persistent approximate index (`--index hnsw`
-    /// runs only); `None` under the exact backend.
-    pub fn ann_index_len(&self) -> Option<usize> {
-        self.ann.as_ref().map(AnnClassIndex::len)
+        }
     }
 
     /// Attaches a detection audit ledger: subsequent [`Enld::detect`] /
@@ -246,8 +207,8 @@ impl Enld {
     /// Swaps in a new configuration for subsequent detections without
     /// redoing setup. Only fields that do not shape [`Enld::init`] may
     /// change (`k`, iteration budget, policy, ablation, fine-tune
-    /// settings); experiment harnesses use this to share one expensive
-    /// general-model setup across many configuration sweeps.
+    /// settings, index backend); experiment harnesses use this to share
+    /// one expensive general-model setup across many configuration sweeps.
     ///
     /// # Panics
     /// Panics if the new configuration differs in `arch`, `seed` or
@@ -260,15 +221,9 @@ impl Enld {
             config.init_train, self.config.init_train,
             "reconfigure cannot change general-model training"
         );
-        let backend_changed = config.index != self.config.index;
         self.config = *config;
         // The base records the configuration's fingerprint.
         self.recovery.forget_base();
-        if backend_changed {
-            // Switching to hnsw builds the persistent index; switching
-            // away (or changing its parameters) drops/rebuilds it.
-            self.ann = self.build_hq_ann();
-        }
     }
 }
 
@@ -429,6 +384,8 @@ mod test_spans {
 
 #[cfg(test)]
 mod tests {
+    use enld_knn::IndexBackend;
+
     use super::*;
 
     #[test]
@@ -459,17 +416,21 @@ mod tests {
         assert_eq!(hq, vec![0]);
     }
 
+    /// The backend is read per selection round, so a detector switched
+    /// to `hnsw` detects exactly as one set up with it.
     #[test]
     fn reconfigure_switches_index_backends() {
-        let lake = small_lake(0.2, 36);
+        let mut lake = small_lake(0.2, 36);
         let cfg = EnldConfig::fast_test();
-        let mut enld = Enld::init(lake.inventory(), &cfg);
-        assert!(enld.ann_index_len().is_none());
-        let mut hnsw_cfg = cfg;
-        hnsw_cfg.index = IndexBackend::hnsw();
-        enld.reconfigure(&hnsw_cfg);
-        assert_eq!(enld.ann_index_len(), Some(enld.high_quality().len()));
-        enld.reconfigure(&cfg);
-        assert!(enld.ann_index_len().is_none());
+        let hnsw_cfg = EnldConfig { index: IndexBackend::hnsw(), ..cfg };
+        let mut switched = Enld::init(lake.inventory(), &cfg);
+        let mut native = Enld::init(lake.inventory(), &hnsw_cfg);
+        switched.reconfigure(&hnsw_cfg);
+        assert_eq!(switched.config().index, hnsw_cfg.index);
+        let d = lake.next_request().expect("queued").data;
+        let (got, expect) = (switched.detect(&d), native.detect(&d));
+        assert_eq!((got.clean, got.noisy), (expect.clean, expect.noisy));
+        switched.reconfigure(&cfg);
+        assert_eq!(switched.config().index, IndexBackend::Exact);
     }
 }

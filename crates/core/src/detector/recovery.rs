@@ -5,7 +5,6 @@ use std::borrow::Cow;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use enld_ann::AnnClassIndex;
 use enld_datagen::split::split_half;
 use enld_datagen::Dataset;
 use enld_nn::model::Mlp;
@@ -64,7 +63,6 @@ impl Enld {
             cond: CondState { classes, joint: joint.to_vec(), cond: cond.to_vec() },
             model: Cow::Borrowed(self.model.layers()),
             in_flight: in_flight.map(Cow::Borrowed),
-            ann: self.ann.as_ref().map(AnnClassIndex::to_bytes),
         }
     }
 
@@ -157,7 +155,7 @@ impl Enld {
             ckpt.cond.joint.clone(),
             ckpt.cond.cond.clone(),
         );
-        let mut this = Self {
+        Ok(Self {
             config: *config,
             model,
             cond,
@@ -174,22 +172,7 @@ impl Enld {
                 pending: ckpt.in_flight.as_deref().cloned(),
                 ..Recovery::default()
             },
-            ann: None,
-        };
-        this.ann = match &ckpt.ann {
-            // Restore the serialized graph verbatim: no rebuild, and the
-            // probe refreshes the recall gauge for the revived process.
-            Some(blob) => {
-                let index = AnnClassIndex::from_bytes(blob)
-                    .map_err(|e| CheckpointError::Format(format!("ann index blob: {e}")))?;
-                index.recall_probe(config.k.max(2));
-                Some(index)
-            }
-            // Config fingerprints matched, so a missing blob means the
-            // exact backend — but rebuild defensively if hnsw is asked.
-            None => this.build_hq_ann(),
-        };
-        Ok(this)
+        })
     }
 }
 
@@ -200,8 +183,6 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::Arc;
 
-    use enld_ann::AnnClassIndex;
-    use enld_knn::IndexBackend;
     use enld_nn::dense::Dense;
 
     use crate::checkpoint::{part_path, Checkpoint, CheckpointError, InFlightTask};
@@ -356,54 +337,6 @@ mod tests {
                 assert!(matches!(err, CheckpointError::Mismatch(_)), "{what} in {place}: {err}");
             }
         }
-    }
-
-    #[test]
-    fn hnsw_checkpoint_embeds_the_index_and_resume_skips_rebuild() {
-        let mut lake = small_lake(0.2, 31);
-        let mut cfg = EnldConfig::fast_test();
-        cfg.index = IndexBackend::hnsw();
-        let inventory = lake.inventory().clone();
-        let a0 = lake.next_request().expect("queued").data;
-        let a1 = lake.next_request().expect("queued").data;
-
-        let mut primary = Enld::init(&inventory, &cfg);
-        let _ = primary.detect(&a0);
-        let ckpt = primary.capture_checkpoint();
-        assert!(ckpt.ann.is_some(), "hnsw runs must checkpoint the index blob");
-        let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("codec round-trip");
-        let mut resumed = Enld::resume_from(&inventory, &cfg, &ckpt).expect("resume");
-        assert_eq!(resumed.ann_index_len(), primary.ann_index_len());
-        // The restored graph answers exactly like the original's.
-        let expect = primary.detect(&a1);
-        let got = resumed.detect(&a1);
-        assert_eq!(canon(&got), canon(&expect));
-        assert_eq!(got.history, expect.history);
-    }
-
-    /// A checkpoint with no blob resumes an hnsw run by building the
-    /// graph over the checkpointed `H`, as init would.
-    #[test]
-    fn a_checkpoint_without_a_blob_resumes_by_building_the_graph() {
-        let lake = small_lake(0.2, 31);
-        let cfg = EnldConfig { index: IndexBackend::hnsw(), ..EnldConfig::fast_test() };
-        let primary = Enld::init(lake.inventory(), &cfg);
-        let mut ckpt = Checkpoint::from_bytes(&primary.capture_checkpoint().to_bytes())
-            .expect("codec round-trip");
-        ckpt.ann = None;
-        let resumed = Enld::resume_from(lake.inventory(), &cfg, &ckpt).expect("resume");
-        let blob = |enld: &Enld| enld.ann.as_ref().map(AnnClassIndex::to_bytes);
-        assert!(blob(&resumed).is_some());
-        assert_eq!(blob(&resumed), blob(&primary));
-    }
-
-    #[test]
-    fn exact_checkpoints_carry_no_index_blob() {
-        let lake = small_lake(0.2, 35);
-        let enld = Enld::init(lake.inventory(), &EnldConfig::fast_test());
-        let ckpt = enld.capture_checkpoint();
-        assert!(ckpt.ann.is_none());
-        assert!(enld.ann_index_len().is_none());
     }
 
     /// Dies on a task's first ledger record: after its last

@@ -26,9 +26,8 @@ impl Enld {
     /// are `hq_feats` when the `H′` refresh already computed them (else
     /// they are embedded here, if the round needs them). `round` is −1 for
     /// the pre-warm-up selection, else the iteration it closes; it seeds
-    /// the round's RNG and tags the audit-trace draws. At round −1 `θ'` is
-    /// still a verbatim clone of the general model, so the persistent HNSW
-    /// index (general-model features) can serve the queries directly.
+    /// the round's RNG and tags the audit-trace draws. Every round builds
+    /// its own index over `hq_candidates` and drops it when it returns.
     pub(super) fn select_contrast(
         &self,
         ctx: &Arrival<'_>,
@@ -58,44 +57,26 @@ impl Enld {
             // sample shares D's labels.
             random_subset(&ctx.i_prime, want, ic_labels, &mut rng)
         } else if contrastive {
-            let fresh: Box<dyn NeighborIndex>;
-            let (index, hq_label_set): (&dyn NeighborIndex, Vec<u32>) = match &self.ann {
-                // The persistent graph holds every sample of `H` under
-                // general-model features; restricting the candidate label
-                // set to classes present in D makes its answers identical
-                // to an index built over `H ∩ I'` (each class shard already
-                // contains exactly those samples, in the same order).
-                Some(ann) if round < 0 => {
-                    (ann, ann.classes().filter(|&c| ctx.label_counts[c as usize] > 0).collect())
+            let hq_labels = ctx.ic_view.gather_labels(hq_candidates);
+            let hq_feats = match hq_feats {
+                Some(feats) => Cow::Borrowed(feats),
+                None => Cow::Owned(
+                    ctx.scan(theta, ctx.ic_view, Some(hq_candidates), Outputs::FEATURES).features,
+                ),
+            };
+            let (data, dim) = (hq_feats.data(), hq_feats.cols());
+            let index: Box<dyn NeighborIndex> = match cfg.index {
+                IndexBackend::Exact => {
+                    Box::new(ClassIndex::build(data, dim, &hq_labels, hq_candidates))
                 }
-                _ => {
-                    let hq_labels = ctx.ic_view.gather_labels(hq_candidates);
-                    let hq_feats = match hq_feats {
-                        Some(feats) => Cow::Borrowed(feats),
-                        None => Cow::Owned(
-                            ctx.scan(theta, ctx.ic_view, Some(hq_candidates), Outputs::FEATURES)
-                                .features,
-                        ),
-                    };
-                    let (data, dim) = (hq_feats.data(), hq_feats.cols());
-                    fresh = match cfg.index {
-                        IndexBackend::Exact => {
-                            Box::new(ClassIndex::build(data, dim, &hq_labels, hq_candidates))
-                        }
-                        IndexBackend::Hnsw(params) => Box::new(AnnClassIndex::build(
-                            data,
-                            dim,
-                            &hq_labels,
-                            hq_candidates,
-                            params,
-                        )),
-                    };
-                    let label_set: BTreeSet<u32> = hq_labels.into_iter().collect();
-                    (fresh.as_ref(), label_set.into_iter().collect())
+                IndexBackend::Hnsw(params) => {
+                    Box::new(AnnClassIndex::build(data, dim, &hq_labels, hq_candidates, params))
                 }
             };
+            let label_set: BTreeSet<u32> = hq_labels.into_iter().collect();
+            let hq_label_set: Vec<u32> = label_set.into_iter().collect();
             let source = ContrastSource {
-                index,
+                index: index.as_ref(),
                 hq_label_set: &hq_label_set,
                 ic_labels,
                 cond: &self.cond,

@@ -50,9 +50,6 @@ impl Enld {
         let old_cond = std::mem::replace(&mut self.cond, cond);
         self.hq = hq;
         self.sc_accum = vec![false; self.i_c.len()];
-        // The model, the candidate split, and H all changed: the
-        // persistent approximate index must be rebuilt from scratch.
-        self.ann = self.build_hq_ann();
 
         // Drift gauge: how far the estimated conditional moved across the
         // update — large jumps mean the accumulated clean set looks very
@@ -80,8 +77,6 @@ impl Enld {
 mod tests {
     use std::sync::Arc;
 
-    use enld_knn::IndexBackend;
-
     use crate::config::EnldConfig;
     use crate::detector::{small_lake, Enld};
     use crate::ledger::{LedgerRecord, MemoryLedger};
@@ -99,23 +94,6 @@ mod tests {
         assert_eq!(enld.training_set().len(), old_ic_len);
         assert_eq!(enld.candidate_set().len(), old_it_len);
         assert!(enld.accumulated_clean().is_empty(), "votes reset after update");
-    }
-
-    /// The update moves every feature and replaces `H`, so the persistent
-    /// graph is built again, over the new `H` under the new model.
-    #[test]
-    fn an_update_builds_the_graph_again_over_the_new_high_quality_set() {
-        let mut lake = small_lake(0.2, 8);
-        let cfg = EnldConfig { index: IndexBackend::hnsw(), ..EnldConfig::fast_test() };
-        let mut enld = Enld::init(lake.inventory(), &cfg);
-        let blob = |enld: &Enld| enld.ann.as_ref().expect("hnsw keeps a graph").to_bytes();
-        let before = blob(&enld);
-        let _ = enld.detect(&lake.next_request().expect("queued").data);
-        assert!(enld.update_model() > 0);
-        assert_ne!(blob(&enld), before);
-        let fresh = enld.build_hq_ann().expect("hnsw builds a graph").to_bytes();
-        assert_eq!(blob(&enld), fresh);
-        assert_eq!(enld.ann_index_len(), Some(enld.high_quality().len()));
     }
 
     #[test]

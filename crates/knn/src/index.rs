@@ -59,9 +59,8 @@ pub enum IndexBackend {
     /// Exact per-class scan, its rows regrouped every round.
     #[default]
     Exact,
-    /// Approximate per-class HNSW graphs (`enld-ann`): the graph over
-    /// `H` is kept and persisted for round −1, and every later round
-    /// builds its own.
+    /// Approximate per-class HNSW graphs (`enld-ann`), built every round
+    /// over that round's candidates.
     Hnsw(AnnParams),
 }
 

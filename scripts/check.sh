@@ -12,10 +12,10 @@ if grep -rnE 'serde|parking_lot|crossbeam' --include='*.rs' crates tests example
   exit 1
 fi
 
-echo "==> non-test lines per crate (telemetry at most 4,000, knn at most 400)"
+echo "==> non-test lines per crate (telemetry at most 4,000, knn at most 400, ann at most 646)"
 LOC=$(bash scripts/loc.sh)
 printf '%s\n' "$LOC"
-for budget in telemetry:4000 knn:400; do
+for budget in telemetry:4000 knn:400 ann:646; do
   crate=${budget%%:*}
   limit=${budget#*:}
   lines=$(printf '%s\n' "$LOC" | awk -v c="crates/$crate" '$1 == c { print $2 }')
@@ -53,7 +53,7 @@ RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native cargo test -q -p
 echo "==> checkpoint/resume CLI smoke (injected crash + resume)"
 bash scripts/chaos_smoke.sh
 
-echo "==> ann index CLI smoke (hnsw build + crash mid-persist + rebuild-free resume)"
+echo "==> ann index CLI smoke (hnsw per-round builds + crash at checkpoint.write + resume)"
 bash scripts/ann_smoke.sh
 
 echo "==> perf smoke (harness and shim tests, every workload once + verdict hashes, no lock drift)"

@@ -72,8 +72,7 @@ for _ in $(seq 1 240); do
   METRICS=$(curl -fsS "http://$ADDR/metrics" || true)
   if printf '%s\n' "$METRICS" | grep -q '^lake_queue_depth ' &&
      printf '%s\n' "$METRICS" | grep -q '^serve_worker_0_service_secs_count ' &&
-     printf '%s\n' "$METRICS" | grep -q '^enld_ann_inserts_total ' &&
-     printf '%s\n' "$METRICS" | grep -q '^enld_ann_recall_probe '; then
+     printf '%s\n' "$METRICS" | grep -q '^enld_ann_inserts_total '; then
     FOUND=1
     break
   fi

@@ -184,40 +184,41 @@ fn resume_after_injected_crash_matches_the_uninterrupted_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The ANN kill-points of the matrix, run with `--index hnsw`: a crash
-/// mid-insert (while a round index is under construction) or
-/// mid-persist (while the checkpoint writer serializes the graph blob)
-/// must resume from the surviving checkpoint — restoring the persisted
-/// index instead of rebuilding — and reproduce the uninterrupted run's
-/// reports and ledger byte-identically.
+/// Points `ann.insert` passes in task 0 before its first checkpoint: the
+/// round −1 index build, one insert per sample of `H ∩ I'`.
+fn round_minus_one_inserts(cfg: &EnldConfig) -> usize {
+    let mut lake = build_lake();
+    let enld = Enld::init(lake.inventory(), cfg);
+    let d = lake.next_request().expect("queued").data;
+    let ic_labels = enld.candidate_set().labels();
+    enld.high_quality().iter().filter(|&&i| d.labels().contains(&ic_labels[i])).count()
+}
+
+/// The ANN kill-point of the matrix, run with `--index hnsw`: a crash
+/// mid-insert, while a selection round's index is under construction,
+/// must resume from the surviving checkpoint and reproduce the
+/// uninterrupted run's reports and ledger byte-identically.
 #[test]
 fn hnsw_resume_after_ann_killpoints_matches_the_uninterrupted_run() {
     use enld_knn::IndexBackend;
 
     let _guard = enld_chaos::scenario();
     let dir = tmp_dir("ann-matrix");
-    // The blob is serialised only into a base, never into a task's part.
-    // nth:2 for the persist site: base 1 (the fresh detector's post-warm-up
-    // persist) must land so a checkpoint with an ANN blob exists; base 2,
-    // at the end of task 0, is killed, and the resume finishes task 0 from
-    // base 1 and the part of its last iteration.
-    const KILL_POINTS: [(&str, &str); 2] =
-        [("ann-insert", "ann.insert=panic@nth:1"), ("ann-persist", "ann.persist=panic@nth:2")];
     let mut cfg = EnldConfig::fast_test();
     cfg.index = IndexBackend::hnsw();
+    // Every round builds its own index. Round −1's build runs before the
+    // post-warm-up checkpoint, so the insert after it, the first of
+    // iteration 0's build, is the earliest kill a resume can recover.
+    let spec = format!("ann.insert=panic@nth:{}", round_minus_one_inserts(&cfg) + 1);
     for threads in THREAD_COUNTS {
         let (expect, expect_ledger) = enld_par::with_threads(threads, || {
             uninterrupted(&cfg, &dir, &format!("ann-base-{threads}"))
         });
-        for (name, spec) in KILL_POINTS {
-            let tag = format!("{name}-{threads}");
-            let (got, got_ledger) =
-                enld_par::with_threads(threads, || crashed_then_resumed(&cfg, spec, &dir, &tag));
-            assert_eq!(got, expect, "{tag}: reports diverge after resume");
-            assert_eq!(got_ledger, expect_ledger, "{tag}: ledger records diverge after resume");
-            let ckpt = Checkpoint::load(&dir.join(format!("{tag}.ckpt"))).expect("final ckpt");
-            assert!(ckpt.ann.is_some(), "{tag}: hnsw checkpoints must embed the index blob");
-        }
+        let tag = format!("ann-insert-{threads}");
+        let (got, got_ledger) =
+            enld_par::with_threads(threads, || crashed_then_resumed(&cfg, &spec, &dir, &tag));
+        assert_eq!(got, expect, "{tag}: reports diverge after resume");
+        assert_eq!(got_ledger, expect_ledger, "{tag}: ledger records diverge after resume");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
