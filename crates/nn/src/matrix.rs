@@ -1,31 +1,50 @@
 //! Minimal row-major dense matrix used by every layer.
 //!
-//! The three matmul variants share one cache-blocked microkernel: the
-//! right-hand operand is packed once per call into column panels of
-//! `NR` contiguous floats per k-step, and an `MR`×`NR` register
-//! tile accumulates fixed-size `[f32; NR]` rows so LLVM's
-//! autovectorizer emits SIMD for the inner loop. Packing pays for
-//! itself after a single pass over the panels and turns the transposed
-//! variants (`matmul_at`, `matmul_bt`) into the same unit-stride kernel
-//! as the plain product.
+//! The right-hand operand of each of the three matmul variants is packed
+//! once per call into column panels of `NR` contiguous floats per
+//! k-step, which turns the transposed variants (`matmul_at`,
+//! `matmul_bt`) into the same unit-stride read as the plain product. Two
+//! bodies multiply against those panels:
+//!
+//! - the **tile body**, an `MR`×`NR` register tile that accumulates
+//!   fixed-size `[f32; NR]` rows, so LLVM's autovectorizer emits SIMD for
+//!   the inner loop; every term is multiplied;
+//! - the **row body**, which takes one output row at a time, lists the
+//!   non-zero entries of the left operand's row (a column for
+//!   `matmul_at`) in ascending `kk`, and adds `a · b[kk]` over that list
+//!   into register accumulators covering up to `ROW_PANELS` panels of
+//!   the row. ReLU leaves about half of every hidden activation, and of
+//!   every gradient masked by it, exactly zero; this body skips them.
+//!
+//! A fixed rule (`pick_body`) picks the body per product from the
+//! operands alone: the row body when the output is at least
+//! `ROW_MIN_COLS` wide, at least `ROW_MIN_ZERO_PCT` per cent of the left
+//! operand is exact zeros, and every right-hand element is finite.
 //!
 //! **FP-order contract**: every output element is produced by a single
-//! `f32` accumulator that walks `kk` in ascending order — exactly the
-//! naive triple loop's order. Tile and panel boundaries only change
-//! *which registers* hold an accumulator, never the order terms are
-//! added, so results are bit-identical to the scalar reference for all
-//! finite inputs and for every tile size. The products are sequential
-//! leaf kernels: callers that want threads split *rows* above them
-//! (`model::for_each_chunk`), which the contract makes invisible in the bits.
+//! `f32` accumulator that starts at `+0.0` and walks `kk` in ascending
+//! order — exactly the naive triple loop's order. Tile and panel
+//! boundaries only change *which registers* hold an accumulator, never
+//! the order terms are added. The row body leaves out the terms whose
+//! left entry is `±0.0`; with a finite right entry such a term is `±0.0`,
+//! and adding `±0.0` leaves every accumulator unchanged — including one
+//! that is `+0.0`, and an accumulator that starts at `+0.0` can never
+//! become `-0.0` (an exact sum is `-0.0` only when both addends are). A
+//! non-finite right entry would make the term NaN, so the rule never
+//! takes the row body then. Both bodies are therefore bit-identical to
+//! the scalar reference for every input, NaN and `±∞` included, and for
+//! every tile size. The products are sequential leaf kernels: callers
+//! that want threads split *rows* above them (`model::for_each_chunk`),
+//! which the contract makes invisible in the bits.
 //!
-//! **Vector width**: the product body (`gemm_body`) is compiled twice
-//! from one source — once for the build's target (128-bit SSE2 on a
-//! default x86_64 build) and once with AVX2 enabled — and `gemm_packed`
-//! picks one per product by asking the CPU. Width decides how many
-//! accumulators one instruction updates, not what enters an accumulator
-//! or when (Rust never fuses `a * b + c`, and the body uses no
-//! `mul_add`), so the contract above holds on both and they return the
-//! same bits; [`kernel`] names the one in use.
+//! **Vector width**: the product body (`gemm_body`, both bodies and the
+//! rule's scans) is compiled twice from one source — once for the
+//! build's target (128-bit SSE2 on a default x86_64 build) and once with
+//! AVX2 enabled — and `gemm_packed` picks one per product by asking the CPU.
+//! Width decides how many accumulators one instruction updates, not what
+//! enters an accumulator or when (Rust never fuses `a * b + c`, and the
+//! bodies use no `mul_add`), so the contract above holds on both and
+//! they return the same bits; [`kernel`] names the one in use.
 
 use std::fmt;
 
@@ -38,8 +57,8 @@ const NR: usize = 16;
 
 /// Packs `b` (k×n, row-major) into `⌈n/NR⌉` column panels. Panel `p`
 /// stores `b[kk][p*NR + c]` at `p*k*NR + kk*NR + c`, zero-padded past
-/// column `n`, so the microkernel reads one contiguous `[f32; NR]` row
-/// per k-step.
+/// column `n`, so both bodies read one contiguous `[f32; NR]` row of a
+/// panel per k-step.
 fn pack_row_panels(b: &Matrix) -> Vec<f32> {
     let (k, n) = (b.rows, b.cols);
     let np = n.div_ceil(NR);
@@ -58,7 +77,7 @@ fn pack_row_panels(b: &Matrix) -> Vec<f32> {
 
 /// Packs `b` (n×k, row-major) as if it were transposed to k×n: panel
 /// layout is identical to [`pack_row_panels`] of `bᵀ`, gathered with a
-/// strided read. Lets `matmul_bt` reuse the plain-product kernel.
+/// strided read. Lets `matmul_bt` reuse the plain-product bodies.
 fn pack_col_panels(b: &Matrix) -> Vec<f32> {
     let (n, k) = (b.rows, b.cols);
     let np = n.div_ceil(NR);
@@ -99,7 +118,7 @@ fn microkernel(a: &[f32], mr: usize, panel: &[f32], out: &mut [f32], out_stride:
     }
 }
 
-/// The left operand of a packed product, as its caller stores it.
+/// The left operand of a product, as its caller stores it.
 #[derive(Clone, Copy)]
 enum Lhs<'a> {
     /// m×k row-major: output row `i` reads `a[i*k..(i+1)*k]`.
@@ -108,16 +127,158 @@ enum Lhs<'a> {
     Cols(&'a [f32]),
 }
 
-/// Multiplies the m×k left operand against pre-packed panels of the k×n
-/// right operand, writing the m×n result into `out`.
-///
-/// This is the one source of the product. `#[inline(always)]` (here and
-/// on [`microkernel`]) is what lets it be compiled once per instruction
-/// set: it has no code of its own, only the copies inside
-/// [`gemm_packed`] and its AVX2 entry, each vectorized at the width of
-/// the function it lands in.
+impl<'a> Lhs<'a> {
+    fn data(self) -> &'a [f32] {
+        match self {
+            Lhs::Rows(a) | Lhs::Cols(a) => a,
+        }
+    }
+}
+
+/// The right operand of a product, as its caller stores it.
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    /// k×n, multiplied as it is.
+    Rows(&'a Matrix),
+    /// n×k, multiplied as its transpose (`matmul_bt`).
+    Cols(&'a Matrix),
+}
+
+impl<'a> Rhs<'a> {
+    fn matrix(self) -> &'a Matrix {
+        match self {
+            Rhs::Rows(b) | Rhs::Cols(b) => b,
+        }
+    }
+
+    /// Output columns.
+    fn n(self) -> usize {
+        match self {
+            Rhs::Rows(b) => b.cols,
+            Rhs::Cols(b) => b.rows,
+        }
+    }
+
+    /// The panels both bodies read.
+    fn pack(self) -> Vec<f32> {
+        match self {
+            Rhs::Rows(b) => pack_row_panels(b),
+            Rhs::Cols(b) => pack_col_panels(b),
+        }
+    }
+}
+
+/// Which body a product runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Body {
+    /// [`microkernel`] over `MR`×`NR` tiles: every term is multiplied.
+    Panels,
+    /// [`row_strip`] per output row: exact-zero left entries are skipped.
+    Rows,
+}
+
+/// The row body needs an output at least this wide to beat the tiles…
+const ROW_MIN_COLS: usize = 80;
+
+/// …and at least this many per cent of the left operand exact zeros.
+const ROW_MIN_ZERO_PCT: usize = 30;
+
+/// Panels of `NR` columns the row body accumulates in registers at once.
+const ROW_PANELS: usize = 7;
+
+/// The rule that picks the body, from the operands alone: the row body
+/// for a wide product whose left operand is sparse (ReLU outputs and the
+/// gradients masked by them), the tiles otherwise — and always the tiles
+/// when a right-hand element is non-finite, since skipping `0·∞` or
+/// `0·NaN` would drop a NaN the reference keeps.
 #[inline(always)]
-fn gemm_body(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
+fn pick_body(lhs: &[f32], rhs: &[f32], n: usize) -> Body {
+    if n < ROW_MIN_COLS {
+        return Body::Panels;
+    }
+    // Both scans are branch-free folds over `u32` lanes, so they vectorize.
+    let zeros: usize = lhs
+        .chunks(1 << 20)
+        .map(|c| c.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() as usize)
+        .sum();
+    let finite = || rhs.iter().fold(0u32, |bad, v| bad | u32::from(!v.is_finite())) == 0;
+    if zeros * 100 >= lhs.len() * ROW_MIN_ZERO_PCT && finite() {
+        Body::Rows
+    } else {
+        Body::Panels
+    }
+}
+
+/// One output row's strip of `W / NR` panels from panel `p0` on: `out[c]
+/// = Σ a · b[kk][p0·NR + c]` over the `(kk·NR, a)` terms, which list
+/// the row's non-zero left entries in ascending `kk`. The `W`
+/// accumulators stay in registers for the whole walk.
+#[inline(always)]
+fn row_strip<const W: usize>(
+    terms: &[(usize, f32)],
+    packed: &[f32],
+    k: usize,
+    p0: usize,
+    out: &mut [f32],
+) {
+    let panels = &packed[p0 * k * NR..(p0 * NR + W) * k];
+    let mut acc = [0.0f32; W];
+    for &(off, av) in terms {
+        for (accp, panel) in acc.chunks_exact_mut(NR).zip(panels.chunks_exact(k * NR)) {
+            let b: &[f32; NR] = panel[off..off + NR].try_into().expect("one panel row");
+            for (x, &y) in accp.iter_mut().zip(b) {
+                *x += av * y;
+            }
+        }
+    }
+    out.copy_from_slice(&acc[..out.len()]);
+}
+
+/// The row body: for each output row, list the non-zero left entries
+/// in ascending `kk`, then run [`row_strip`] over at most
+/// [`ROW_PANELS`] panels of the row at a time. It reads the same panels
+/// as the tile body.
+#[inline(always)]
+fn row_body(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
+    let np = n.div_ceil(NR);
+    // Every entry is written and only the non-zero ones are kept, with
+    // no branch on the data for the zeros to mispredict.
+    let mut terms = vec![(0usize, 0.0f32); k];
+    for i in 0..m {
+        let mut len = 0;
+        let mut push = |kk: usize, v: f32| {
+            terms[len] = (kk * NR, v);
+            len += usize::from(v != 0.0);
+        };
+        match lhs {
+            Lhs::Rows(a) => {
+                a[i * k..(i + 1) * k].iter().enumerate().for_each(|(kk, &v)| push(kk, v))
+            }
+            Lhs::Cols(a) => (0..k).for_each(|kk| push(kk, a[kk * m + i])),
+        }
+        let terms = &terms[..len];
+        let mut p0 = 0;
+        while p0 < np {
+            let panels = ROW_PANELS.min(np - p0);
+            let out = &mut out[i * n + p0 * NR..i * n + n.min((p0 + panels) * NR)];
+            match panels {
+                1 => row_strip::<NR>(terms, packed, k, p0, out),
+                2 => row_strip::<{ 2 * NR }>(terms, packed, k, p0, out),
+                3 => row_strip::<{ 3 * NR }>(terms, packed, k, p0, out),
+                4 => row_strip::<{ 4 * NR }>(terms, packed, k, p0, out),
+                5 => row_strip::<{ 5 * NR }>(terms, packed, k, p0, out),
+                6 => row_strip::<{ 6 * NR }>(terms, packed, k, p0, out),
+                _ => row_strip::<{ ROW_PANELS * NR }>(terms, packed, k, p0, out),
+            }
+            p0 += panels;
+        }
+    }
+}
+
+/// The tile body: the m×k left operand against pre-packed panels of the
+/// k×n right operand, one `MR`×`NR` [`microkernel`] tile at a time.
+#[inline(always)]
+fn panel_body(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
     let np = n.div_ceil(NR);
     // A transposed operand is gathered one MR-row tile at a time into
     // contiguous scratch so the microkernel reads both operands at unit
@@ -151,6 +312,32 @@ fn gemm_body(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize, out: &m
     }
 }
 
+/// Multiplies the m×k left operand by pre-packed panels of the right
+/// one, writing the m×n result into `out`: runs `body`, or the one
+/// [`pick_body`] picks when `None`.
+///
+/// This is the one source of the product. `#[inline(always)]` (here and
+/// on everything it calls) is what lets it be compiled once per
+/// instruction set: it has no code of its own, only the copies inside
+/// [`gemm_packed`] and its AVX2 entry, each vectorized at the width of the
+/// function it lands in — the rule's scans included.
+#[inline(always)]
+fn gemm_body(
+    body: Option<Body>,
+    lhs: Lhs<'_>,
+    m: usize,
+    k: usize,
+    rhs: Rhs<'_>,
+    packed: &[f32],
+    out: &mut [f32],
+) {
+    let n = rhs.n();
+    match body.unwrap_or_else(|| pick_body(lhs.data(), &rhs.matrix().data, n)) {
+        Body::Panels => panel_body(lhs, m, k, packed, n, out),
+        Body::Rows => row_body(lhs, m, k, packed, n, out),
+    }
+}
+
 /// Whether the products run the AVX2 copy of [`gemm_body`] on this CPU.
 /// The standard library caches the answer after the first `cpuid`.
 #[cfg(target_arch = "x86_64")]
@@ -173,25 +360,34 @@ pub fn kernel() -> &'static str {
 /// `matmul_bt`: one feature test per product, then [`gemm_body`] at the
 /// widest width it was compiled for that the CPU has.
 #[allow(unsafe_code)]
-fn gemm_packed(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize) -> Matrix {
+fn gemm_packed(body: Option<Body>, lhs: Lhs<'_>, m: usize, k: usize, rhs: Rhs<'_>) -> Matrix {
     /// [`gemm_body`] compiled with 256-bit vectors.
     ///
     /// # Safety
     /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
-        gemm_body(lhs, m, k, packed, n, out);
+    unsafe fn avx2(
+        body: Option<Body>,
+        lhs: Lhs<'_>,
+        m: usize,
+        k: usize,
+        rhs: Rhs<'_>,
+        packed: &[f32],
+        out: &mut [f32],
+    ) {
+        gemm_body(body, lhs, m, k, rhs, packed, out);
     }
 
-    let mut out = Matrix::zeros(m, n);
+    let packed = rhs.pack();
+    let mut out = Matrix::zeros(m, rhs.n());
     #[cfg(target_arch = "x86_64")]
     if has_avx2() {
         // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { avx2(lhs, m, k, packed, n, &mut out.data) };
+        unsafe { avx2(body, lhs, m, k, rhs, &packed, &mut out.data) };
         return out;
     }
-    gemm_body(lhs, m, k, packed, n, &mut out.data);
+    gemm_body(body, lhs, m, k, rhs, &packed, &mut out.data);
     out
 }
 
@@ -254,24 +450,21 @@ impl Matrix {
     /// `self @ other` — (m×k) · (k×n) → (m×n).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner-dim mismatch");
-        let packed = pack_row_panels(other);
-        gemm_packed(Lhs::Rows(&self.data), self.rows, self.cols, &packed, other.cols)
+        gemm_packed(None, Lhs::Rows(&self.data), self.rows, self.cols, Rhs::Rows(other))
     }
 
     /// `selfᵀ @ other` — (k×m)ᵀ·(k×n) → (m×n), without materialising the
     /// transpose. Used for weight gradients (`xᵀ · dy`).
     pub fn matmul_at(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_at outer-dim mismatch");
-        let packed = pack_row_panels(other);
-        gemm_packed(Lhs::Cols(&self.data), self.cols, self.rows, &packed, other.cols)
+        gemm_packed(None, Lhs::Cols(&self.data), self.cols, self.rows, Rhs::Rows(other))
     }
 
     /// `self @ otherᵀ` — (m×k)·(n×k)ᵀ → (m×n), without materialising the
     /// transpose. Used for input gradients (`dy · Wᵀ`).
     pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_bt inner-dim mismatch");
-        let packed = pack_col_panels(other);
-        gemm_packed(Lhs::Rows(&self.data), self.rows, self.cols, &packed, other.rows)
+        gemm_packed(None, Lhs::Rows(&self.data), self.rows, self.cols, Rhs::Cols(other))
     }
 
     /// Adds `bias` (length = cols) to every row in place.
@@ -454,6 +647,25 @@ mod tests {
         )
     }
 
+    /// A rows×cols operand with no zeros of its own, of both signs, in
+    /// which `pct` per cent of the entries (rounded up, spread evenly)
+    /// are then made exact zeros, every other one of them `-0.0`.
+    fn sparse(rows: usize, cols: usize, pct: usize) -> Matrix {
+        let zeros_before = |i: usize| (i * pct).div_ceil(100);
+        let data = (0..rows * cols)
+            .map(|i| {
+                if zeros_before(i + 1) == zeros_before(i) {
+                    ((i * 7) % 23 + 1) as f32 * 0.1 - 1.15
+                } else if zeros_before(i) % 2 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
     fn transpose(a: &Matrix) -> Matrix {
         let mut t = Matrix::zeros(a.cols, a.rows);
         for r in 0..a.rows {
@@ -464,26 +676,72 @@ mod tests {
         t
     }
 
+    /// The bits of every element, so that `-0.0` differs from `0.0` and
+    /// a NaN equals the same NaN.
+    fn bits(a: &Matrix) -> Vec<u32> {
+        a.data.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// `gemm_body` as this module compiles it — the build's own target,
     /// whatever the CPU — where `gemm_packed` asks the CPU first.
-    fn baseline(lhs: Lhs<'_>, m: usize, k: usize, packed: &[f32], n: usize) -> Matrix {
-        let mut out = Matrix::zeros(m, n);
-        gemm_body(lhs, m, k, packed, n, &mut out.data);
+    fn baseline(body: Body, lhs: Lhs<'_>, m: usize, k: usize, rhs: Rhs<'_>) -> Matrix {
+        let mut out = Matrix::zeros(m, rhs.n());
+        gemm_body(Some(body), lhs, m, k, rhs, &rhs.pack(), &mut out.data);
         out
     }
 
-    /// All three products against the scalar reference, and the
-    /// baseline-compiled body against the dispatched entry, bit for bit.
-    /// On a CPU without AVX2 (or a build whose target already has it)
-    /// the two bodies are the same code and the second half is trivially
-    /// true; where they differ it is the proof that width cannot change
-    /// a bit.
+    /// Every (product, body, width) of `a · b` against the scalar
+    /// reference, bit for bit: the three public products as the rule
+    /// dispatches them, then each product through each body both as
+    /// dispatched and as compiled for the build's own target. The row
+    /// body runs on whatever `b` holds, so it is left out when `b` has a
+    /// non-finite element, where the rule never takes it.
+    fn assert_every_body_matches_the_reference(a: &Matrix, b: &Matrix, case: &str) {
+        let (mm, kk) = (a.rows, a.cols);
+        let (at, bt) = (transpose(a), transpose(b));
+        let want = bits(&a.matmul_naive(b));
+        let bodies: &[Body] = if b.data.iter().all(|v| v.is_finite()) {
+            &[Body::Panels, Body::Rows]
+        } else {
+            &[Body::Panels]
+        };
+        for (product, dispatched, lhs, rhs) in [
+            ("matmul", a.matmul(b), Lhs::Rows(&a.data), Rhs::Rows(b)),
+            ("matmul_at", at.matmul_at(b), Lhs::Cols(&at.data), Rhs::Rows(b)),
+            ("matmul_bt", a.matmul_bt(&bt), Lhs::Rows(&a.data), Rhs::Cols(&bt)),
+        ] {
+            assert_eq!(bits(&dispatched), want, "{product} {case} diverged from reference");
+            for &body in bodies {
+                let at_width = bits(&gemm_packed(Some(body), lhs, mm, kk, rhs));
+                assert_eq!(
+                    at_width, want,
+                    "{body:?} body of {product} {case} diverged from reference"
+                );
+                let at_baseline = bits(&baseline(body, lhs, mm, kk, rhs));
+                assert_eq!(
+                    at_baseline, want,
+                    "baseline {body:?} body of {product} {case} diverged"
+                );
+            }
+        }
+    }
+
+    /// All three products against the scalar reference through both
+    /// bodies, and each body's baseline-compiled copy against the
+    /// dispatched one, bit for bit, on left operands from dense to all
+    /// zeros (`-0.0` included). On a CPU without AVX2 (or a build whose
+    /// target already has it) the two copies are the same code; where
+    /// they differ it is the proof that width cannot change a bit. The
+    /// rule's pick is pinned on every case: the row body from 80 output
+    /// columns and 30 % exact zeros on the left, the tiles below either.
     #[test]
     fn packed_kernels_match_the_naive_reference_bitwise() {
         // Ragged shapes: tiles narrower than MR/NR, prime dims, K smaller
         // than a panel row, and one spanning many tiles and panels; the
-        // hot shapes of a fine-tune step and a scan; one narrower than a
-        // tile in every dimension.
+        // hot shapes of a fine-tune step (forward, `matmul_at`'s 96×32×96,
+        // the head), a scan and a 100-class head; a row wider than the
+        // row body's seven panels; the width crossover; one narrower than
+        // a tile in every dimension.
         for &(mm, kk, nn) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -493,29 +751,74 @@ mod tests {
             (96, 64, 80),
             (32, 48, 96),
             (32, 96, 96),
+            (96, 32, 96),
+            (32, 96, 26),
             (32, 96, 100),
             (256, 96, 96),
             (12, 96, 100),
+            (8, 40, 150),
+            (10, 10, 79),
+            (10, 10, 80),
             (3, 2, 11),
         ] {
-            let a = pattern(mm, kk, 7, 23, 0.1);
             let b = pattern(kk, nn, 5, 19, 0.2);
-            let (at, bt) = (transpose(&a), transpose(&b));
-            let want = a.matmul_naive(&b);
-            let shape = format!("{mm}x{kk}x{nn}");
-            let (rows, cols) = (pack_row_panels(&b), pack_col_panels(&bt));
-            for (product, dispatched, lhs, packed) in [
-                ("matmul", a.matmul(&b), Lhs::Rows(&a.data), &rows),
-                ("matmul_at", at.matmul_at(&b), Lhs::Cols(&at.data), &rows),
-                ("matmul_bt", a.matmul_bt(&bt), Lhs::Rows(&a.data), &cols),
-            ] {
-                assert_eq!(dispatched, want, "{product} {shape} diverged from reference");
+            let dense = pattern(mm, kk, 7, 23, 0.1);
+            assert_every_body_matches_the_reference(&dense, &b, &format!("{mm}x{kk}x{nn}"));
+            for pct in [0, 29, 30, 50, 70, 100] {
+                let a = sparse(mm, kk, pct);
+                let case = format!("{mm}x{kk}x{nn} at {pct} % zeros");
+                let want = if nn >= 80 && pct >= 30 { Body::Rows } else { Body::Panels };
+                assert_eq!(pick_body(&a.data, &b.data, nn), want, "rule on {case}");
                 assert_eq!(
-                    baseline(lhs, mm, kk, packed, nn),
-                    dispatched,
-                    "baseline body of {product} {shape} diverged from the dispatched one"
+                    pick_body(&transpose(&a).data, &b.data, nn),
+                    want,
+                    "rule on {case}, `at`"
                 );
+                assert_every_body_matches_the_reference(&a, &b, &case);
             }
+        }
+    }
+
+    /// `0·∞` and `0·NaN` are NaN, so a zero left entry that meets a
+    /// non-finite right one is a term the row body must not skip: the
+    /// rule takes the tiles, and every product equals the reference. A
+    /// NaN or `∞` on the left is not a zero and enters the row body.
+    #[test]
+    fn non_finite_operands_match_the_naive_reference_bitwise() {
+        let (mm, kk, nn) = (8, 16, 96);
+        let mut a = sparse(mm, kk, 50);
+        for i in 0..mm {
+            a.data[i * kk + 3] = 0.0;
+        }
+        for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut b = pattern(kk, nn, 5, 19, 0.2);
+            b.data[3 * nn + 5] = poison;
+            assert_eq!(
+                pick_body(&a.data, &b.data, nn),
+                Body::Panels,
+                "rule with {poison} on the right"
+            );
+            assert_every_body_matches_the_reference(&a, &b, &format!("{poison} on the right"));
+            // Why the rule falls back: the row body skips the zero
+            // column of `a` that meets the poison, and loses the NaN.
+            let want = a.matmul_naive(&b);
+            let rows = baseline(Body::Rows, Lhs::Rows(&a.data), mm, kk, Rhs::Rows(&b));
+            assert!(
+                want.data[5].is_nan() && !rows.data[5].is_nan(),
+                "{poison}: 0·{poison} was not NaN"
+            );
+        }
+        let b = pattern(kk, nn, 5, 19, 0.2);
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut a = a.clone();
+            a.data[kk + 7] = poison;
+            a.data[4 * kk + 1] = poison;
+            assert_eq!(
+                pick_body(&a.data, &b.data, nn),
+                Body::Rows,
+                "rule with {poison} on the left"
+            );
+            assert_every_body_matches_the_reference(&a, &b, &format!("{poison} on the left"));
         }
     }
 
@@ -530,8 +833,10 @@ mod tests {
         assert_eq!(a.matmul(&b), zero);
         assert_eq!(at.matmul_at(&b), zero);
         assert_eq!(a.matmul_bt(&bt), zero);
-        assert_eq!(baseline(Lhs::Rows(&a.data), 2, 0, &pack_row_panels(&b), 3), zero);
-        assert_eq!(baseline(Lhs::Cols(&at.data), 2, 0, &pack_col_panels(&bt), 3), zero);
+        for body in [Body::Panels, Body::Rows] {
+            assert_eq!(baseline(body, Lhs::Rows(&a.data), 2, 0, Rhs::Rows(&b)), zero);
+            assert_eq!(baseline(body, Lhs::Cols(&at.data), 2, 0, Rhs::Cols(&bt)), zero);
+        }
     }
 
     #[test]

@@ -253,11 +253,20 @@ mod tests {
     use std::sync::Barrier;
     use std::time::Duration;
 
+    /// The element both sides of the comparison compute. One out-of-line
+    /// function, because an inlined `sin` may be lowered differently at
+    /// each call site (in a release build the two differed by 1 ulp), and
+    /// the test is about the primitive, not the math library.
+    #[inline(never)]
+    fn element(i: usize) -> f32 {
+        (i as f32).sin()
+    }
+
     #[test]
     fn par_map_matches_sequential_for_every_thread_count() {
-        let seq: Vec<f32> = (0..1000).map(|i| (i as f32).sin()).collect();
+        let seq: Vec<f32> = (0..1000).map(element).collect();
         for threads in [1, 2, 3, 8] {
-            let par = with_threads(threads, || par_map(1000, 64, |i| (i as f32).sin()));
+            let par = with_threads(threads, || par_map(1000, 64, element));
             assert_eq!(par, seq, "threads={threads}");
         }
     }

@@ -34,6 +34,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> enld-nn and enld-par again in the release profile"
+# The benchmark measures the release build (thin LTO), where inlining and
+# lowering differ from the test profile; the bitwise tests must hold there too.
+cargo test --release -q -p enld-nn -p enld-par
+
 echo "==> parallel determinism suite (ENLD_THREADS=1 and 4)"
 ENLD_THREADS=1 cargo test -q -p enld-integration --test determinism
 ENLD_THREADS=4 cargo test -q -p enld-integration --test determinism

@@ -390,6 +390,33 @@ fn prop_blocked_kernels_match_the_naive_reference_bitwise() {
     }
 }
 
+/// The same equality on left operands where ReLU-like exact zeros (of
+/// both signs) make up a random share, at widths on both sides of the
+/// crossover where the products skip those zeros: a skipped `±0·b` term
+/// must leave every output bit where the reference puts it.
+#[test]
+fn prop_zero_skipping_kernels_match_the_naive_reference_bitwise() {
+    for (case, mut rng) in cases(32) {
+        let m = rng.gen_range(1usize..48);
+        let k = rng.gen_range(1usize..64);
+        let n = rng.gen_range(60usize..130);
+        let zero_share = rng.gen_range(0.0f64..1.0);
+        let mut a = mat(m, k, case);
+        for v in a.data_mut() {
+            if rng.gen_bool(zero_share) {
+                *v = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+            }
+        }
+        let b = mat(k, n, case.wrapping_add(0x9e37_79b9));
+        let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(&a.matmul_naive(&b));
+        let at = format!("case {case}: {m}x{k}x{n}, zero share {zero_share:.2}");
+        assert_eq!(bits(&a.matmul(&b)), want, "matmul {at}");
+        assert_eq!(bits(&transpose(&a).matmul_at(&b)), want, "matmul_at {at}");
+        assert_eq!(bits(&a.matmul_bt(&transpose(&b))), want, "matmul_bt {at}");
+    }
+}
+
 /// Symmetric absmax int8: dequantized values sit within half a
 /// quantization step of the input, codes never leave ±127, and the
 /// returned scale is exactly `absmax/127`.
