@@ -20,10 +20,10 @@ use enld_core::metrics::{detection_metrics, mean_metrics};
 use enld_datagen::presets::DatasetPreset;
 use enld_datagen::TransitionMatrix;
 use enld_lake::lake::{DataLake, LakeConfig};
-use enld_lake::queueing::simulate_queue;
 use enld_telemetry::json::Json;
 
 use crate::experiments::ExpContext;
+use crate::queueing::simulate_queue;
 use crate::rows::{f4, load_payload, ExperimentOutput, MethodRow};
 
 /// One (noise-model, method) row of the generality experiment.

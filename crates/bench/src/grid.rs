@@ -36,7 +36,7 @@ use enld_nn::data::DataRef;
 use enld_nn::model::Mlp;
 use enld_nn::trainer::Trainer;
 use enld_telemetry as telemetry;
-use enld_telemetry::json::{parse_json, Json, JsonValue, Layout};
+use enld_telemetry::json::{parse_json, Json, Layout};
 
 use crate::runner::baseline;
 
@@ -148,30 +148,9 @@ pub struct GridOptions {
     /// Injected-regression knob: deterministically drop this fraction of
     /// the named detector's detections in every cell, degrading its
     /// recall/F1. Exists so the golden-score regression test can prove a
-    /// quality regression actually fails the comparison. Also settable as
-    /// `ENLD_BENCH_DEGRADE=DETECTOR:FRACTION`.
+    /// quality regression actually fails the comparison; `enld bench`
+    /// always runs with the default, `None`.
     pub degrade: Option<(DetectorKind, f32)>,
-}
-
-impl GridOptions {
-    /// Reads `ENLD_BENCH_DEGRADE` (`DETECTOR:FRACTION`).
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("ENLD_BENCH_DEGRADE") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => {
-                let (det, frac) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("ENLD_BENCH_DEGRADE '{v}' is not DETECTOR:FRACTION"))?;
-                let kind: DetectorKind = det.parse()?;
-                let frac: f32 =
-                    frac.parse().map_err(|e| format!("bad degrade fraction '{frac}': {e}"))?;
-                if !(0.0..=1.0).contains(&frac) {
-                    return Err(format!("degrade fraction {frac} outside [0, 1]"));
-                }
-                Ok(Self { degrade: Some((kind, frac)) })
-            }
-        }
-    }
 }
 
 /// One scored (noise model, rate, preset, detector) cell.
@@ -231,37 +210,10 @@ pub struct GridResults {
     pub grid: GridConfig,
     pub cells: Vec<GridCell>,
     pub ranking: Vec<RankingRow>,
-    /// Set on goldens that have not been frozen yet: comparisons are
-    /// skipped until a real run's scores are recorded.
-    pub bootstrap: bool,
 }
 
-/// The document `bench-grid.json` holds (render it with
-/// [`Layout::Pretty`]); `bootstrap` is written only when set.
-impl Json for GridResults {
-    fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("format", self.format.to_json()),
-            ("grid", self.grid.to_json()),
-            ("cells", self.cells.to_json()),
-            ("ranking", self.ranking.to_json()),
-        ];
-        if self.bootstrap {
-            fields.push(("bootstrap", JsonValue::Bool(true)));
-        }
-        JsonValue::object(fields)
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        Ok(Self {
-            format: v.read("format")?,
-            grid: v.read("grid")?,
-            cells: v.read("cells")?,
-            ranking: v.read("ranking")?,
-            bootstrap: v.read_or("bootstrap", Some(false))?,
-        })
-    }
-}
+// The document `bench-grid.json` holds (render it with `Layout::Pretty`).
+enld_telemetry::impl_json!(GridResults: format, grid, cells, ranking);
 
 /// Runs every cell of the grid.
 ///
@@ -301,16 +253,9 @@ pub fn run_grid(grid: &GridConfig, opts: &GridOptions) -> Result<GridResults, St
     for group in cell_groups {
         cells.extend(group?);
     }
-    telemetry::metrics::global().counter("bench.grid.cells_total").add(cells.len() as u64);
 
     let ranking = rank(&kinds, &cells);
-    Ok(GridResults {
-        format: RESULTS_FORMAT.to_owned(),
-        grid: grid.clone(),
-        cells,
-        ranking,
-        bootstrap: false,
-    })
+    Ok(GridResults { format: RESULTS_FORMAT.to_owned(), grid: grid.clone(), cells, ranking })
 }
 
 /// Golden-ratio mix so consecutive configuration seeds share no
@@ -374,7 +319,6 @@ fn run_config(
     for (ai, arrival) in arrivals.iter().enumerate() {
         let truth = arrival.noisy_indices();
         for (ki, &kind) in kinds.iter().enumerate() {
-            telemetry::metrics::global().counter("bench.grid.cells_run").inc();
             let (mut clean, mut noisy, staleness) = match kind {
                 DetectorKind::Enld => {
                     let report = enld.detect(arrival);
@@ -704,12 +648,11 @@ mod tests {
             p_staleness,
             arrivals: 1,
         };
-        let mut results = GridResults {
+        let results = GridResults {
             format: RESULTS_FORMAT.to_owned(),
             grid: smoke_grid(),
             cells: vec![cell("ENLD", Some(0.25)), cell("Default", None)],
             ranking: Vec::new(),
-            bootstrap: false,
         };
         let text = results.to_json().render(Layout::Pretty);
         assert!(
@@ -726,14 +669,7 @@ mod tests {
         assert!(text.contains("\"f1\": 0.6666666666666666,"), "{text}");
         assert!(text.contains("\"precision\": 1.0,"), "{text}");
         assert_eq!(text.matches("p_staleness").count(), 1, "an absent p_staleness is not written");
-        assert!(
-            text.ends_with("\"ranking\": []\n}"),
-            "bootstrap is not written when false: {text}"
-        );
-        assert_eq!(GridResults::from_json(&parse_json(&text).unwrap()), Ok(results.clone()));
-        results.bootstrap = true;
-        let text = results.to_json().render(Layout::Pretty);
-        assert!(text.ends_with("\"ranking\": [],\n  \"bootstrap\": true\n}"), "{text}");
+        assert!(text.ends_with("\"ranking\": []\n}"), "{text}");
         assert_eq!(GridResults::from_json(&parse_json(&text).unwrap()), Ok(results));
     }
 

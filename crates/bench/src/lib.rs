@@ -24,6 +24,7 @@
 
 pub mod experiments;
 pub mod grid;
+pub mod queueing;
 pub mod rows;
 pub mod runner;
 pub mod scale;

@@ -79,9 +79,6 @@ pub fn simulate_queue(
         arrivals.push(t);
     }
 
-    let registry = enld_telemetry::metrics::global();
-    let wait_hist = registry.histogram("lake.sim.wait_secs");
-    let sojourn_hist = registry.histogram("lake.sim.sojourn_secs");
     let mut sojourns = Vec::new();
     let mut completions: Vec<f64> = Vec::with_capacity(arrivals.len());
     // Lindley recursion: each job starts when it arrives or when the
@@ -94,8 +91,6 @@ pub fn simulate_queue(
         completions.push(done);
         if done <= horizon_secs {
             sojourns.push(done - arrival);
-            wait_hist.record(start - arrival);
-            sojourn_hist.record(done - arrival);
         }
     }
 

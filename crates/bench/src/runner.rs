@@ -146,13 +146,6 @@ pub fn run_method_sweep(
     let mut enld_reports = Vec::new();
     let mut requests = Vec::new();
 
-    // Emulate the §V-A3 deployment queue: one FIFO worker, back-to-back
-    // arrivals, so request i waits for every earlier request's processing.
-    // This keeps a queue-wait histogram in the snapshot even for sweeps
-    // that run the detector inline rather than through a worker pool.
-    let wait_hist = telemetry::metrics::global().histogram("lake.queue.wait_secs");
-    let mut backlog_wait = 0.0f64;
-
     for _ in 0..n {
         let req = lake.next_request().expect("capped by pending_requests");
         let truth = req.data.noisy_indices();
@@ -163,9 +156,7 @@ pub fn run_method_sweep(
                     (report.noisy, report.process_secs)
                 }
                 None => {
-                    wait_hist.record(backlog_wait);
                     let report = enld.detect(&req.data);
-                    backlog_wait += report.process_secs;
                     let out = (report.noisy.clone(), report.process_secs);
                     enld_reports.push(report);
                     out

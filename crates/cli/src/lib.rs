@@ -644,11 +644,10 @@ pub struct BenchSummary {
 
 /// `enld bench --grid FILE [--out DIR]`: runs the detector benchmark
 /// grid and writes the versioned results JSON plus the markdown ranking
-/// table under `out_dir`. The `ENLD_BENCH_DEGRADE` injected-regression
-/// knob is honoured (see [`enld_bench::grid::GridOptions`]).
+/// table under `out_dir`.
 pub fn bench(grid_path: &Path, out_dir: &Path) -> Result<BenchSummary, CliError> {
     let grid = enld_bench::grid::GridConfig::load(grid_path).map_err(CliError::BadInput)?;
-    let opts = enld_bench::grid::GridOptions::from_env().map_err(CliError::BadInput)?;
+    let opts = enld_bench::grid::GridOptions::default();
     let results = enld_bench::grid::run_grid(&grid, &opts).map_err(CliError::BadInput)?;
     let (json_path, markdown_path) = enld_bench::grid::write_results(&results, out_dir)?;
     Ok(BenchSummary { results, json_path, markdown_path })

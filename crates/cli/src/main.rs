@@ -73,8 +73,7 @@ enld bench sweeps noise model x rate x preset x detector from a JSON grid
 file, scoring detection P/R/F1 and downstream accuracy-after-drop, and
 writes bench-grid.json plus a markdown ranking table under --out (default
 results/). results are bit-identical for every --threads setting.
-ENLD_BENCH_DEGRADE=DETECTOR:FRACTION artificially degrades one detector
-(regression-test knob). detectors: ENLD Default CL-1 CL-2 Topofilter
+detectors: ENLD Default CL-1 CL-2 Topofilter
 
 enld repro regenerates the paper's tables and figures (default: all) into
 --out (default results/): fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
@@ -101,57 +100,73 @@ ENLD_FAILPOINTS=\"site=action[@trigger];...\" arms deterministic fault injection
 
 presets: emnist-sim cifar100-sim tiny-imagenet-sim test-sim";
 
-/// Flags every command accepts (telemetry + thread-pool wiring).
-const COMMON_FLAGS: &[&str] =
-    &["log-level", "trace-out", "metrics-out", "metrics-interval", "threads"];
+/// Whether a flag takes the next token as its value.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Takes {
+    Value,
+    Switch,
+}
+use Takes::{Switch, Value};
 
-/// Per-command accepted flags; anything else is an error, not silence.
-const COMMAND_FLAGS: &[(&str, &[&str])] = &[
-    ("generate", &["preset", "noise", "noise-model", "drift", "seed", "out"]),
-    ("bench", &["grid", "out"]),
-    ("repro", &["quick", "exhaustive", "seed", "out"]),
-    (
-        "detect",
-        &[
-            "lake",
-            "out",
-            "iterations",
-            "k",
-            "seed",
-            "index",
-            "ledger",
-            "checkpoint",
-            "resume",
-            "alert-rules",
-        ],
-    ),
-    (
-        "serve",
-        &[
-            "lake",
-            "workers",
-            "policy",
-            "queue-limit",
-            "out",
-            "iterations",
-            "k",
-            "seed",
-            "index",
-            "obs-addr",
-            "obs-linger",
-            "ledger",
-            "alert-rules",
-            "healthz-strict",
-        ],
-    ),
-    ("audit", &["lake", "arrival"]),
-    ("explain", &["ledger", "sample", "task"]),
-    ("monitor", &["ledger", "alert-rules"]),
-    ("profile", &["spans", "chrome", "folded", "top", "trace"]),
+/// Every flag `enld` accepts: its name, whether it takes a value (a
+/// switch takes none; its presence means "true"), and the commands that
+/// accept it, where an empty list means every command. `Args::parse` and
+/// `Args::validate` read nothing else, and the `cli` tests hold `USAGE`
+/// and README to it.
+const FLAGS: &[(&str, Takes, &[&str])] = &[
+    ("log-level", Value, &[]),
+    ("trace-out", Value, &[]),
+    ("metrics-out", Value, &[]),
+    ("metrics-interval", Value, &[]),
+    ("threads", Value, &[]),
+    ("preset", Value, &["generate"]),
+    ("noise", Value, &["generate"]),
+    ("noise-model", Value, &["generate"]),
+    ("drift", Value, &["generate"]),
+    ("seed", Value, &["generate", "repro", "detect", "serve"]),
+    ("out", Value, &["generate", "bench", "repro", "detect", "serve"]),
+    ("grid", Value, &["bench"]),
+    ("quick", Switch, &["repro"]),
+    ("exhaustive", Switch, &["repro"]),
+    ("lake", Value, &["detect", "serve", "audit"]),
+    ("iterations", Value, &["detect", "serve"]),
+    ("k", Value, &["detect", "serve"]),
+    ("index", Value, &["detect", "serve"]),
+    ("ledger", Value, &["detect", "serve", "explain", "monitor"]),
+    ("alert-rules", Value, &["detect", "serve", "monitor"]),
+    ("checkpoint", Value, &["detect"]),
+    ("resume", Switch, &["detect"]),
+    ("workers", Value, &["serve"]),
+    ("policy", Value, &["serve"]),
+    ("queue-limit", Value, &["serve"]),
+    ("obs-addr", Value, &["serve"]),
+    ("obs-linger", Value, &["serve"]),
+    ("healthz-strict", Switch, &["serve"]),
+    ("arrival", Value, &["audit"]),
+    ("sample", Value, &["explain"]),
+    ("task", Value, &["explain"]),
+    ("chrome", Value, &["profile"]),
+    ("folded", Value, &["profile"]),
+    ("top", Value, &["profile"]),
+    ("trace", Value, &["profile"]),
 ];
 
-/// Flags that take no value; their presence means "true".
-const SWITCH_FLAGS: &[&str] = &["resume", "healthz-strict", "quick", "exhaustive"];
+/// Whether `command` is one the table knows (every command takes a flag
+/// of its own).
+fn is_command(command: &str) -> bool {
+    FLAGS.iter().any(|(_, _, commands)| commands.contains(&command))
+}
+
+/// The flags `command` accepts, sorted.
+fn accepted(command: &str) -> Vec<&'static str> {
+    let mut names: Vec<&str> = FLAGS
+        .iter()
+        .filter(|(_, _, commands)| commands.is_empty() || commands.contains(&command))
+        .map(|(name, _, _)| *name)
+        .collect();
+    names.sort_unstable();
+    names
+}
 
 struct Args {
     flags: Vec<(String, String)>,
@@ -169,7 +184,7 @@ impl Args {
                 positionals.push(token.clone());
                 continue;
             };
-            if SWITCH_FLAGS.contains(&name) {
+            if FLAGS.iter().any(|&(n, takes, _)| n == name && takes == Switch) {
                 flags.push((name.to_owned(), "true".to_owned()));
                 continue;
             }
@@ -195,20 +210,13 @@ impl Args {
                 self.positionals[max_positionals]
             ));
         }
-        let accepted = COMMAND_FLAGS
-            .iter()
-            .find(|(c, _)| *c == command)
-            .map(|(_, flags)| *flags)
-            .unwrap_or(&[]);
-        for (name, _) in &self.flags {
-            if !accepted.contains(&name.as_str()) && !COMMON_FLAGS.contains(&name.as_str()) {
-                let mut all: Vec<&str> = accepted.iter().chain(COMMON_FLAGS).copied().collect();
-                all.sort_unstable();
-                return Err(format!(
-                    "unknown flag --{name} for '{command}' (accepted: {})\n{USAGE}",
-                    all.iter().map(|f| format!("--{f}")).collect::<Vec<_>>().join(" ")
-                ));
-            }
+        let accepted = accepted(command);
+        if let Some((name, _)) = self.flags.iter().find(|(n, _)| !accepted.contains(&n.as_str())) {
+            let list: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
+            return Err(format!(
+                "unknown flag --{name} for '{command}' (accepted: {})\n{USAGE}",
+                list.join(" ")
+            ));
         }
         Ok(())
     }
@@ -284,7 +292,7 @@ fn run() -> Result<(), String> {
         return Err(USAGE.to_owned());
     };
     let args = Args::parse(rest)?;
-    if COMMAND_FLAGS.iter().any(|(c, _)| c == command) {
+    if is_command(command) {
         args.validate(command)?;
     }
     // Arm deterministic fault injection before any detector work; an
@@ -515,12 +523,10 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "profile" => {
-            // The spans file is positional (`enld profile t.jsonl`);
-            // `--spans FILE` is an equivalent spelling.
-            let spans =
-                args.positionals.first().map(String::as_str).or_else(|| args.get("spans")).ok_or(
-                    "a spans file is required: enld profile SPANS.jsonl (or --spans FILE)",
-                )?;
+            let spans = args
+                .positionals
+                .first()
+                .ok_or("a spans file is required: enld profile SPANS.jsonl")?;
             let opts = enld_cli::profile::ProfileOptions {
                 top: args.parse_num("top")?.unwrap_or(20),
                 trace: args.parse_num("trace")?,
@@ -582,6 +588,115 @@ mod tests {
             let err = args(&[flag, "1"]).validate("monitor").unwrap_err();
             assert!(err.starts_with(&format!("unknown flag {flag} for 'monitor'")), "{err}");
         }
+    }
+
+    /// Every `--name` in `text`, in order: a lowercase name after a `--`
+    /// that does not continue a word or a longer run of dashes.
+    fn flags_named(text: &str) -> Vec<(&str, &str)> {
+        let word = |c: char| c.is_ascii_alphanumeric() || c == '-';
+        text.match_indices("--")
+            .filter(|&(at, _)| !text[..at].ends_with(word))
+            .filter_map(|(at, _)| {
+                let rest = &text[at + 2..];
+                let len = rest.find(|c: char| !word(c)).unwrap_or(rest.len());
+                let name = rest[..len].trim_end_matches('-');
+                name.starts_with(|c: char| c.is_ascii_lowercase()).then(|| (name, &rest[len..]))
+            })
+            .collect()
+    }
+
+    /// Each command's synopsis in `USAGE`, continuation lines joined, and
+    /// the block of flags every command accepts.
+    fn usage_synopses() -> (Vec<(&'static str, String)>, &'static str) {
+        let (synopsis, rest) = USAGE.split_once("\n\n").expect("synopsis, then prose");
+        let common = rest.strip_prefix("every command also accepts:\n").expect("common block");
+        let common = common.split("\n\n").next().expect("common block");
+        let mut commands: Vec<(&str, String)> = Vec::new();
+        for line in synopsis.lines().skip(1) {
+            match line.trim_start().strip_prefix("enld ") {
+                Some(rest) => {
+                    let command = rest.split_whitespace().next().expect("command name");
+                    commands.push((command, line.to_owned()));
+                }
+                None => commands.last_mut().expect("a command line first").1.push_str(line),
+            }
+        }
+        (commands, common)
+    }
+
+    /// The table's names and arities for `command`'s own flags (`""`: the
+    /// flags every command accepts).
+    fn table_flags(command: &str) -> Vec<(&'static str, Takes)> {
+        let own = |cmds: &[&str]| {
+            if command.is_empty() {
+                cmds.is_empty()
+            } else {
+                cmds.contains(&command)
+            }
+        };
+        let mut flags: Vec<_> =
+            FLAGS.iter().filter(|(_, _, cmds)| own(cmds)).map(|&(n, t, _)| (n, t)).collect();
+        flags.sort_unstable_by_key(|&(n, _)| n);
+        flags
+    }
+
+    /// The flags a synopsis names, each with its arity: a value flag is
+    /// followed by a space and its placeholder, a switch by `]` or `|`.
+    fn synopsis_flags(synopsis: &str) -> Vec<(&str, Takes)> {
+        let mut flags: Vec<_> = flags_named(synopsis)
+            .into_iter()
+            .map(|(n, after)| (n, if after.starts_with(' ') { Value } else { Switch }))
+            .collect();
+        flags.sort_unstable_by_key(|&(n, _)| n);
+        flags.dedup();
+        flags
+    }
+
+    #[test]
+    fn usage_synopses_name_exactly_the_flags_of_the_table() {
+        let (commands, common) = usage_synopses();
+        assert_eq!(synopsis_flags(common), table_flags(""), "the every-command block");
+        for (command, synopsis) in &commands {
+            assert!(is_command(command), "USAGE has a synopsis for unknown '{command}'");
+            assert_eq!(synopsis_flags(synopsis), table_flags(command), "the synopsis of {command}");
+        }
+        for &(_, _, cmds) in FLAGS {
+            for command in cmds {
+                assert!(commands.iter().any(|(c, _)| c == command), "no synopsis for {command}");
+            }
+        }
+        for (name, _) in flags_named(USAGE) {
+            assert!(
+                FLAGS.iter().any(|f| f.0 == name),
+                "USAGE names --{name}, which no command takes"
+            );
+        }
+    }
+
+    #[test]
+    fn readme_names_every_flag_of_the_table_and_no_other() {
+        // Flags README shows for cargo and for perf/run.sh, not for enld.
+        const OTHER_TOOLS: &[&str] = &["release", "bin", "workspace", "smoke", "check"];
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .expect("README.md");
+        let named: Vec<&str> = flags_named(&readme).into_iter().map(|(n, _)| n).collect();
+        for (name, _, _) in FLAGS {
+            assert!(named.contains(name), "README never mentions --{name}");
+        }
+        for name in named {
+            assert!(
+                FLAGS.iter().any(|f| f.0 == name) || OTHER_TOOLS.contains(&name),
+                "README names --{name}, which no enld command takes"
+            );
+        }
+    }
+
+    #[test]
+    fn profile_takes_its_spans_file_only_as_a_positional() {
+        assert!(args(&["spans.jsonl", "--top", "5"]).validate("profile").is_ok());
+        let err = args(&["--spans", "spans.jsonl"]).validate("profile").unwrap_err();
+        assert!(err.starts_with("unknown flag --spans for 'profile'"), "{err}");
     }
 
     #[test]

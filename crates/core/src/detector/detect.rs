@@ -23,7 +23,7 @@ use enld_nn::matrix::Matrix;
 use enld_nn::model::{argmax, Mlp, Outputs, Scan};
 use enld_nn::trainer::{TrainConfig, Trainer};
 use enld_telemetry as telemetry;
-use enld_telemetry::metrics::{global as metrics, Histogram};
+use enld_telemetry::metrics::global as metrics;
 
 use super::{flags_to_indices, high_quality_filtered, mean_row_divergence, row_argmax, Enld};
 use crate::checkpoint::{self, InFlightTask, TaskTrace};
@@ -96,7 +96,6 @@ impl Enld {
             .field("task", self.tasks)
             .field("samples", d.len())
             .entered();
-        metrics().counter("enld.detect.tasks").inc();
 
         let report = {
             let ctx = self.arrival(d, d_fp);
@@ -296,12 +295,11 @@ impl Enld {
             let rate = task.ambiguous_initial as f64 / eligible.len() as f64;
             (rate, mean_row_divergence(&self.cond, &arrival_cond))
         };
-        for (name, value) in
-            [("enld.drift.ambiguous_rate", ambiguous_rate), ("enld.drift.p_staleness", p_staleness)]
-        {
-            metrics().gauge(name).set(value);
-            telemetry::monitor::global().observe(name, value);
-        }
+        let monitor = telemetry::monitor::global();
+        metrics().gauge("enld.drift.ambiguous_rate").set(ambiguous_rate);
+        monitor.observe("enld.drift.ambiguous_rate", ambiguous_rate);
+        metrics().gauge("enld.drift.p_staleness").set(p_staleness);
+        monitor.observe("enld.drift.p_staleness", p_staleness);
         (ambiguous_rate, p_staleness)
     }
 
@@ -353,9 +351,6 @@ impl Enld {
         }
 
         metrics().counter("enld.detect.vote_flips_total").add(flips);
-        metrics()
-            .histogram_with("enld.detect.ambiguous_per_iteration", Histogram::count_bounds)
-            .record(task.ambiguous.len() as f64);
         span.record("ambiguous", task.ambiguous.len());
         span.record("flips", flips);
         span.record("contrast", task.contrast.len());

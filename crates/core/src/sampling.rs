@@ -153,11 +153,9 @@ pub fn contrastive_sampling(
     // query, so its count/sum still track query volume and wall-clock.
     if !ambiguous.is_empty() {
         let n = ambiguous.len() as u64;
-        let registry = enld_telemetry::metrics::global();
-        registry
+        enld_telemetry::metrics::global()
             .histogram("knn.class_query_secs")
             .record_n(query_start.elapsed().as_secs_f64() / n as f64, n);
-        registry.counter("knn.class_queries_total").add(n);
     }
     // Phase 3 — sequential assembly in sample order.
     let mut out = Vec::with_capacity(ambiguous.len() * source.k);
@@ -395,19 +393,14 @@ mod tests {
         let (index, ic_labels, _) = fixture();
         let cond = cond_identity();
         let query = Matrix::from_vec(3, 2, vec![0.1, 0.0, 9.0, 0.0, 0.2, 0.0]);
-        let registry = enld_telemetry::metrics::global();
-        let (hist, counter) = (
-            registry.histogram("knn.class_query_secs"),
-            registry.counter("knn.class_queries_total"),
-        );
-        // Other tests in this process query too, so compare deltas of the
-        // two instruments rather than absolute values.
-        let (h0, c0) = (hist.count(), counter.get());
+        let hist = enld_telemetry::metrics::global().histogram("knn.class_query_secs");
+        // Other tests in this process query too, so compare deltas rather
+        // than absolute values.
+        let h0 = hist.count();
         let src = source(&index, &ic_labels, &cond, 1, true);
         let mut rng = StdRng::seed_from_u64(4);
         let _ = contrastive_sampling(&src, &[0, 1, 2], &[0, 1, 0], &query, &mut rng, None);
         assert!(hist.count() - h0 >= 3);
-        assert!(counter.get() - c0 >= 3);
     }
 
     fn probs() -> Matrix {

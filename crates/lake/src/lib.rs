@@ -10,9 +10,7 @@
 //!   incremental datasets, built from an `enld-datagen` preset;
 //! * [`request::DetectionRequest`]/[`request::DetectionResponse`] — the
 //!   unit of work a detection service consumes and produces (the service
-//!   itself is `enld_serve::WorkerPool`);
-//! * [`queueing`] — an M/G/1 discrete-event queue simulation fed with
-//!   measured per-dataset service times.
+//!   itself is `enld_serve::WorkerPool`).
 //!
 //! # Example
 //!
@@ -30,10 +28,8 @@
 
 pub mod catalog;
 pub mod lake;
-pub mod queueing;
 pub mod request;
 
 pub use catalog::{Catalog, DatasetKind};
 pub use lake::{DataLake, LakeConfig};
-pub use queueing::{simulate_queue, QueueStats};
 pub use request::{DetectionRequest, DetectionResponse};

@@ -12,11 +12,9 @@
 //! yields exactly one [`JobOutcome`], including jobs whose detector
 //! panicked.
 //!
-//! Per-worker telemetry: `serve.worker.<i>.service_secs` (histogram) and
-//! `serve.worker.<i>.utilisation` (busy-fraction gauge), plus pool-wide
-//! `serve.queue.depth`, `serve.queue.wait_secs`, `serve.job.sojourn_secs`
-//! (wait + service, the SLO feed for the monitor's burn-rate alert rule),
-//! and `serve.pool.{submitted,rejected,panics}_total`.
+//! The pool publishes the `serve.*` names of DESIGN.md §7's catalogue;
+//! per-worker utilisation and queue wait live in [`PoolStats`], which
+//! `/workers` reads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -559,9 +557,6 @@ fn worker_loop<P, R, D>(
     let depth = registry.gauge("serve.queue.depth");
     let wait_hist = registry.histogram("serve.queue.wait_secs");
     let service_hist = registry.histogram(&format!("serve.worker.{worker_id}.service_secs"));
-    let util_gauge = registry.gauge(&format!("serve.worker.{worker_id}.utilisation"));
-    let spawned_at = Instant::now();
-    let mut busy_secs = 0.0f64;
     let _alive = AliveGuard(&shared.stats.workers[worker_id].alive);
     loop {
         let job = {
@@ -601,8 +596,6 @@ fn worker_loop<P, R, D>(
             detector(&spec.payload)
         }));
         let service_secs = started.elapsed().as_secs_f64();
-        busy_secs += service_secs;
-        util_gauge.set(busy_secs / spawned_at.elapsed().as_secs_f64().max(1e-9));
         shared.stats.record_job(worker_id, service_secs, wait_secs);
         span.record("wait_secs", wait_secs);
         span.record("service_secs", service_secs);

@@ -174,11 +174,6 @@ impl Histogram {
         bounds
     }
 
-    /// Exponential bounds suited to sizes/counts: 1 doubling up to ~1M.
-    pub fn count_bounds() -> Vec<f64> {
-        (0..21).map(|k| f64::from(1u32 << k)).collect()
-    }
-
     /// Records one observation. Non-finite values are ignored.
     pub fn record(&self, v: f64) {
         self.record_n(v, 1);
@@ -538,10 +533,8 @@ mod tests {
 
     #[test]
     fn bounds_presets_are_valid() {
-        for bounds in [Histogram::duration_bounds(), Histogram::count_bounds()] {
-            assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{bounds:?}");
-        }
-        assert_eq!(Histogram::count_bounds()[0], 1.0);
+        let bounds = Histogram::duration_bounds();
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{bounds:?}");
         assert!(Histogram::duration_bounds()[0] == 1e-6);
         assert!(*Histogram::duration_bounds().last().unwrap() > 10_000.0);
     }

@@ -12,7 +12,7 @@ if grep -rnE 'serde|parking_lot|crossbeam' --include='*.rs' crates tests example
   exit 1
 fi
 
-echo "==> non-test lines per crate (telemetry at most 4,000, knn at most 400, ann at most 646)"
+echo "==> line budgets (telemetry at most 4,000, knn at most 400, ann at most 646; DESIGN.md at most 700)"
 LOC=$(bash scripts/loc.sh)
 printf '%s\n' "$LOC"
 for budget in telemetry:4000 knn:400 ann:646; do
@@ -24,6 +24,11 @@ for budget in telemetry:4000 knn:400 ann:646; do
     exit 1
   fi
 done
+DESIGN_LINES=$(wc -l < DESIGN.md)
+if [ "$DESIGN_LINES" -gt 700 ]; then
+  echo "DESIGN.md has $DESIGN_LINES lines (limit 700): history belongs in CHANGES.md"
+  exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
