@@ -3,11 +3,9 @@
 //! frame ([`seal`] / [`open`]) and the atomic file replace
 //! ([`write_atomic`]).
 //!
-//! The detector checkpoint (`ENLDCKPT`) and its in-flight task part
-//! (`ENLDTASK`, bound to a checkpoint by that frame's [`checksum`]) are
-//! sealed frames, as is the ANN index blob (`ENLDANNX`) the benchmark
-//! sizes; the checkpoint, its part and the metrics snapshot are
-//! published with [`write_atomic`]. A frame is
+//! The detector checkpoint (`ENLDCKPT`) is a sealed frame, as is the ANN
+//! index blob (`ENLDANNX`) the benchmark sizes; the checkpoint and the
+//! metrics snapshot are published with [`write_atomic`]. A frame is
 //!
 //! ```text
 //! magic [u8; 8] · version u32 · payload_len u64 · fnv1a64(payload) u64 · payload
@@ -31,7 +29,7 @@
 //! ```
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Bytes in front of a sealed payload: magic, version, length, checksum.
@@ -119,14 +117,6 @@ impl Enc {
     #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
-    }
-
-    /// An optional section: a presence byte (0/1), then the section.
-    pub fn opt<T: ?Sized>(&mut self, v: Option<&T>, encode: impl FnOnce(&mut Self, &T)) {
-        self.u8(v.is_some() as u8);
-        if let Some(v) = v {
-            encode(self, v);
-        }
     }
 
     /// A length-prefixed sequence, each item written by `item`.
@@ -251,20 +241,6 @@ impl<'a> Dec<'a> {
         self.u64().map(f64::from_bits)
     }
 
-    /// An optional section written by [`Enc::opt`]; `what` names it when
-    /// the presence byte is neither 0 nor 1.
-    pub fn opt<T>(
-        &mut self,
-        what: &str,
-        decode: impl FnOnce(&mut Self) -> Result<T, String>,
-    ) -> Result<Option<T>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => decode(self).map(Some),
-            other => Err(format!("bad {what} flag {other}")),
-        }
-    }
-
     /// A sequence written by [`Enc::seq`], each item read by `item`. No
     /// item encodes to zero bytes, so the bytes left bound the up-front
     /// allocation a corrupt count could ask for.
@@ -384,35 +360,36 @@ pub fn open<'a>(magic: &[u8; 8], version: u32, bytes: &'a [u8]) -> Result<&'a [u
     Ok(payload)
 }
 
-/// The payload checksum a frame's header records, read without
-/// validating the frame (`None` when the header is short): what another
-/// frame stores to name this one.
-pub fn checksum(frame: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(frame.get(HEADER_LEN - 8..HEADER_LEN)?.try_into().ok()?))
-}
-
-/// Replaces `path` with `bytes` so that a crash at any point leaves
-/// either the old file or the new one, never a torn one: the bytes go to
-/// a `<file>.tmp` sibling, which is then renamed over `path`. The
-/// failpoints `<site>.write` and `<site>.rename` guard the two steps.
+/// Replaces `path` with `bytes` so that a crash or a power loss at any
+/// point leaves either the old file or the new one, never a torn one: the
+/// bytes go to a `<file>.tmp` sibling, which is synced to disk and then
+/// renamed over `path`, and the rename is made durable by syncing the
+/// parent directory. The failpoints `<site>.write` and `<site>.rename`
+/// guard the two steps.
 ///
 /// # Errors
-/// Filesystem failures, injected ones included; on error the `.tmp`
-/// sibling is removed (best effort) and `path` is untouched.
+/// Filesystem failures, injected ones included. A failure up to and
+/// including the rename removes the `.tmp` sibling (best effort) and
+/// leaves `path` untouched; a failed directory sync after it is reported
+/// with the new file in place.
 pub fn write_atomic(path: &Path, bytes: &[u8], site: &str) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     let result = (|| {
         crate::fail_point_io(&format!("{site}.write"))?;
-        fs::write(&tmp, bytes)?;
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
         crate::fail_point_io(&format!("{site}.rename"))?;
         fs::rename(&tmp, path)
     })();
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
+        return result;
     }
-    result
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    fs::File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -436,8 +413,6 @@ mod tests {
         enc.usize_slice(&[9, 8]);
         enc.bool_slice(&[true, false, true]);
         enc.u8_slice(&[0xAA, 0xBB]);
-        enc.opt(Some(&7u32), |e, &v| e.u32(v));
-        enc.opt(None::<&u32>, |e, &v| e.u32(v));
         let bytes = enc.finish();
         let mut dec = Dec::new(&bytes);
         assert_eq!(dec.u8().unwrap(), 0xAB);
@@ -454,8 +429,6 @@ mod tests {
         assert_eq!(dec.usize_vec().unwrap(), [9, 8]);
         assert_eq!(dec.bool_vec().unwrap(), [true, false, true]);
         assert_eq!(dec.u8_vec().unwrap(), [0xAA, 0xBB]);
-        assert_eq!(dec.opt("some", Dec::u32).unwrap(), Some(7));
-        assert_eq!(dec.opt("none", Dec::u32).unwrap(), None);
         dec.finish().unwrap();
     }
 
@@ -476,8 +449,6 @@ mod tests {
         let bytes = enc.finish();
         let err = Dec::new(&bytes).bool_vec().unwrap_err();
         assert!(err.contains("bool byte 2"), "{err}");
-        let err = Dec::new(&[2]).opt("section", Dec::u8).unwrap_err();
-        assert!(err.contains("bad section flag 2"), "{err}");
         let mut dec = Dec::new(&[0, 0]);
         dec.u8().unwrap();
         assert!(dec.finish().unwrap_err().contains("1 trailing"));
@@ -511,8 +482,6 @@ mod tests {
         let mut flipped = blob.clone();
         *flipped.last_mut().unwrap() ^= 1;
         assert!(fault(&flipped).contains("checksum"));
-        assert_eq!(checksum(&blob), Some(fnv1a64(b"payload")));
-        assert_eq!(checksum(&blob[..HEADER_LEN - 1]), None);
     }
 
     fn scratch_dir(name: &str) -> PathBuf {

@@ -314,8 +314,8 @@ pub fn detect(
 /// Crash-recovery knobs for [`detect_with_recovery`].
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOptions {
-    /// Where to persist detector checkpoints at iteration boundaries;
-    /// `None` disables checkpointing.
+    /// Where to persist detector checkpoints between arrivals; `None`
+    /// disables checkpointing.
     pub checkpoint: Option<PathBuf>,
     /// Restore from `checkpoint` instead of starting fresh. Requires
     /// `checkpoint` to be set and the file to exist.
@@ -326,12 +326,13 @@ pub struct RecoveryOptions {
 /// FILE [--resume]`).
 ///
 /// With a checkpoint path set, detector state is persisted atomically at
-/// every iteration boundary, so a killed run loses at most one
-/// iteration of work. With `resume`, the detector is restored from the
-/// checkpoint: arrivals that already completed are skipped (their
-/// verdicts are *not* re-emitted), an interrupted arrival continues from
-/// its last persisted iteration, and the ledger — if any — is opened in
-/// append mode so the interrupted run's records survive.
+/// the start and after every arrival, so a crash costs at most the
+/// arrival in flight; it is re-run from its start. With `resume`, the
+/// detector is restored from the checkpoint: arrivals that already
+/// completed are skipped (their verdicts are *not* re-emitted), the
+/// interrupted arrival is re-run bit-identically, and the ledger — if
+/// any — is opened in append mode so the interrupted run's records
+/// survive.
 pub fn detect_with_recovery(
     file: &LakeFile,
     overrides: DetectOverrides,
@@ -371,8 +372,8 @@ pub fn detect_with_recovery(
         };
         enld.set_ledger(sink, "main");
     }
-    // Completed arrivals are skipped on resume; an in-flight one (counted
-    // in `tasks` but unfinished) is re-served and continues mid-task.
+    // Completed arrivals are skipped on resume; the one in flight at the
+    // crash is not in the checkpoint, so it is re-served from its start.
     let done = if recovery.resume { enld.tasks_completed() } else { 0 };
     if done > file.arrivals.len() {
         return Err(CliError::BadInput(format!(

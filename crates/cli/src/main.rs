@@ -91,9 +91,9 @@ over that round's high-quality candidates, and none is patched or persisted);
 the default 'exact' regroups each class's rows per round and scans them, with
 no build step
 
---checkpoint FILE persists detector state atomically at iteration boundaries
-(a task in flight in FILE.task beside it); --resume restores it and continues,
-skipping arrivals already completed
+--checkpoint FILE persists detector state atomically between arrivals, so a
+crash costs at most the arrival in flight; --resume restores it, skips the
+arrivals already completed and re-runs the interrupted one from its start
 
 ENLD_FAILPOINTS=\"site=action[@trigger];...\" arms deterministic fault injection
 (testing only); see DESIGN.md section 10 for the failpoint catalogue

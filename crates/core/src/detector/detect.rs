@@ -26,8 +26,10 @@ use enld_telemetry as telemetry;
 use enld_telemetry::metrics::global as metrics;
 
 use super::{flags_to_indices, high_quality_filtered, mean_row_divergence, row_argmax, Enld};
-use crate::checkpoint::{self, InFlightTask, TaskTrace};
-use crate::ledger::{cast_votes, casts_vote, LedgerRecord, SampleRecord, TaskRecord, Verdict};
+use crate::ledger::{
+    cast_votes, casts_vote, ContrastDraw, LedgerRecord, SampleDraw, SampleRecord, TaskRecord,
+    Verdict,
+};
 use crate::probability::ConditionalLabelProbability;
 use crate::report::{DetectionReport, IterationSnapshot};
 use crate::sampling::{ContrastSample, SampleSource};
@@ -37,7 +39,6 @@ use crate::sampling::{ContrastSample, SampleSource};
 /// the phases keep, of rows pushed through inference.
 pub(super) struct Arrival<'a> {
     pub d: &'a Dataset,
-    pub d_fp: u64,
     pub d_view: DataRef<'a>,
     pub ic_view: DataRef<'a>,
     /// Samples with an observed label participate in detection; missing
@@ -49,8 +50,9 @@ pub(super) struct Arrival<'a> {
     /// Alg. 3 line 3: `I'` = candidates whose observed label ∈ label(D).
     pub i_prime: Vec<usize>,
     /// Every random choice of the task is seeded by pure counters (config
-    /// seed, task #, selection round / fine-tune epoch), so a resumed task
-    /// replays the same streams with no RNG state in the checkpoint.
+    /// seed, task #, selection round / fine-tune epoch), so a task re-run
+    /// after a crash replays the same streams with no RNG state in the
+    /// checkpoint.
     pub task_seed: u64,
     /// Rows of `D` and the inventory scanned so far (the `scan_rows` field
     /// of `enld.detect`).
@@ -71,79 +73,110 @@ impl Arrival<'_> {
     }
 }
 
+/// The mutable state of one detection task: what [`Enld::detect`]
+/// carries from phase to phase. It lives in memory only: a checkpoint is
+/// written between tasks, and a task in flight at a crash is re-run.
+#[derive(Default)]
+pub(super) struct InFlightTask {
+    pub warmup_val_acc: f32,
+    pub ambiguous_initial: usize,
+    pub contrast: Vec<ContrastSample>,
+    pub ambiguous: Vec<usize>,
+    /// Sticky clean-set membership `S` over `D`.
+    pub in_s: Vec<bool>,
+    /// Inventory clean-vote tallies `count_c` over `I_c`.
+    pub count_c: Vec<usize>,
+    /// Pseudo-label votes for missing-label samples (empty when labelled).
+    pub pseudo_votes: Vec<Vec<u32>>,
+    pub history: Vec<IterationSnapshot>,
+    /// Present only while a ledger is attached.
+    pub trace: Option<TaskTrace>,
+}
+
+/// Per-task audit state gathered while a ledger is attached, folded into
+/// `SampleRecord`s when the task concludes.
+pub(super) struct TaskTrace {
+    /// `votes[sample][iteration][step]`, one row per iteration run: did
+    /// `θ'` agree with the observed label at that step? A vote the sample
+    /// did not cast ([`casts_vote`]) stays `false`; the ledger writer
+    /// re-derives which those were.
+    pub votes: Vec<Vec<Vec<bool>>>,
+    pub ambiguous_initial: Vec<bool>,
+    /// Iterations after which the sample was still ambiguous.
+    pub still_ambiguous: Vec<Vec<usize>>,
+    /// Contrastive draws per sample across selection rounds.
+    pub draws: Vec<Vec<SampleDraw>>,
+}
+
+impl TaskTrace {
+    /// A trace with no iteration run yet: each iteration pushes its own
+    /// vote row per sample.
+    fn new(samples: usize) -> Self {
+        Self {
+            votes: vec![Vec::new(); samples],
+            ambiguous_initial: vec![false; samples],
+            still_ambiguous: vec![Vec::new(); samples],
+            draws: vec![Vec::new(); samples],
+        }
+    }
+
+    /// Files one selection round's [`ContrastDraw`]s under their samples
+    /// (`round` is −1 for the pre-warm-up selection, else the iteration).
+    pub(super) fn absorb_draws(&mut self, round: i64, draws: Vec<ContrastDraw>) {
+        for draw in draws {
+            self.draws[draw.sample].push(SampleDraw {
+                round,
+                candidate: draw.candidate,
+                neighbors: draw.neighbors,
+            });
+        }
+    }
+}
+
 impl Enld {
     /// Alg. 2 + Alg. 3: fine-grained noisy-label detection with
-    /// contrastive sampling for one incremental dataset.
-    ///
-    /// After [`Enld::resume_from`] with an in-flight task, the call must
-    /// receive the same dataset the interrupted task was processing
-    /// (checked by fingerprint); detection then continues from the first
-    /// incomplete iteration instead of starting over.
+    /// contrastive sampling for one incremental dataset. With checkpoints
+    /// enabled, the task-boundary checkpoint is written before it returns.
     pub fn detect(&mut self, d: &Dataset) -> DetectionReport {
         assert_eq!(d.dim(), self.i_c.dim(), "incremental dataset dimension mismatch");
         assert_eq!(d.classes(), self.i_c.classes(), "incremental dataset class-count mismatch");
         let sw = Instant::now();
-        let d_fp = checkpoint::dataset_fingerprint(d);
-        let resumed = self.recovery.pending.take();
-        match &resumed {
-            Some(task) => assert_eq!(
-                task.d_fp, d_fp,
-                "resumed detect() was given a different dataset than the in-flight task"
-            ),
-            None => self.tasks += 1,
-        }
+        self.tasks += 1;
         let mut detect_span = telemetry::span("enld.detect")
             .field("task", self.tasks)
             .field("samples", d.len())
             .entered();
 
         let report = {
-            let ctx = self.arrival(d, d_fp);
-            let (mut task, mut theta, general_preds) = match resumed {
-                Some(mut task) => {
-                    let mut theta = self.model.clone();
-                    let parked = std::mem::take(&mut task.theta);
-                    theta.restore(&parked).expect("resume_from fitted the in-flight model");
-                    (task, theta, None)
-                }
-                None => {
-                    let (task, theta, preds) = self.start_task(&ctx);
-                    // Post-warm-up checkpoint: a crash inside iteration 0
-                    // can resume without redoing selection and warm-up.
-                    self.persist(Some((&task, &theta)));
-                    (task, theta, Some(preds))
-                }
-            };
-            let (ambiguous_rate, p_staleness) = self.observe_drift(&ctx, &task, general_preds);
+            let ctx = self.arrival(d);
+            let (mut task, mut theta, general_preds) = self.start_task(&ctx);
+            let drift = self.observe_drift(&ctx, &task, &general_preds);
             // Fine-grained detection loop (Alg. 3 lines 5–22), capped at
-            // `t` iterations and ended once the votes have settled. The
-            // check reads only the history a checkpoint carries, so a task
-            // resumed after its deciding iteration runs no further one.
-            for iteration in task.next_iteration..self.config.iterations {
+            // `t` iterations and ended once the votes have settled.
+            for iteration in 0..self.config.iterations {
                 if votes_settled(&task.history) {
                     break;
                 }
                 self.iteration(&ctx, &mut theta, &mut task, iteration);
             }
-            self.conclude(&ctx, task, (ambiguous_rate, p_staleness), &mut detect_span, sw)
+            self.conclude(&ctx, task, drift, &mut detect_span, sw)
         };
         for &i in &report.inventory_clean {
             self.sc_accum[i] = true;
         }
-        // Task-boundary checkpoint (no in-flight section): a crash before
-        // the next task's first checkpoint resumes from here.
-        self.persist(None);
+        // Task-boundary checkpoint: a crash inside the next task re-runs
+        // that task from here.
+        self.persist();
         report
     }
 
-    fn arrival<'a>(&'a self, d: &'a Dataset, d_fp: u64) -> Arrival<'a> {
+    fn arrival<'a>(&'a self, d: &'a Dataset) -> Arrival<'a> {
         let label_counts = d.class_counts();
         let i_prime = (0..self.i_c.len())
             .filter(|&i| label_counts[self.i_c.labels()[i] as usize] > 0)
             .collect();
         Arrival {
             d,
-            d_fp,
             d_view: DataRef::new(d.xs(), d.labels(), d.dim()),
             ic_view: DataRef::new(self.i_c.xs(), self.i_c.labels(), self.i_c.dim()),
             eligible: (0..d.len()).filter(|&i| !d.missing_mask()[i]).collect(),
@@ -155,7 +188,7 @@ impl Enld {
         }
     }
 
-    /// A fresh task up to the first boundary: initial ambiguity scan,
+    /// A task up to its first iteration: initial ambiguity scan,
     /// contrastive selection round −1, and warm-up (Alg. 1 lines 5–7 +
     /// Alg. 3 line 4). Also returns the general model's predicted labels
     /// of `D` from the same first pass, for the drift check.
@@ -169,7 +202,6 @@ impl Enld {
             pseudo_votes[i] = vec![0; d.classes()];
         }
         let mut task = InFlightTask {
-            d_fp: ctx.d_fp,
             in_s: vec![false; d.len()],
             count_c: vec![0; self.i_c.len()],
             pseudo_votes,
@@ -268,13 +300,12 @@ impl Enld {
     /// per-task sequence, not a resampled gauge). Pure inference — it
     /// consumes no RNG, so detection streams are byte-identical with or
     /// without the observation. `general_preds` is the general model's
-    /// predicted labels of `D` from the task's first pass; a resumed task
-    /// skipped that pass, so the check makes its own.
+    /// predicted labels of `D` from the task's first pass.
     fn observe_drift(
         &self,
         ctx: &Arrival<'_>,
         task: &InFlightTask,
-        general_preds: Option<Vec<u32>>,
+        general_preds: &[u32],
     ) -> (f64, f64) {
         let _span = telemetry::debug_span("enld.detect.drift").entered();
         let (d, eligible) = (ctx.d, &ctx.eligible);
@@ -284,10 +315,8 @@ impl Enld {
             // P̃-staleness: re-estimate the conditional on this arrival from
             // the general model's predictions and measure how far the held
             // P̃ (fitted at init / last Alg. 4 update) has drifted from it.
-            let preds = general_preds
-                .unwrap_or_else(|| ctx.scan(&self.model, ctx.d_view, None, Outputs::LABELS).labels);
             let observed: Vec<u32> = eligible.iter().map(|&i| d.labels()[i]).collect();
-            let predicted: Vec<u32> = eligible.iter().map(|&i| preds[i]).collect();
+            let predicted: Vec<u32> = eligible.iter().map(|&i| general_preds[i]).collect();
             let arrival_cond =
                 ConditionalLabelProbability::estimate(&observed, &predicted, d.classes());
             // Ambiguous rate: how ambiguous the arrival looked to the general
@@ -304,8 +333,7 @@ impl Enld {
     }
 
     /// One iteration of Alg. 3 (lines 5–22): `s` fine-tune + vote steps,
-    /// then the sample update and re-sampling, then the boundary
-    /// checkpoint.
+    /// then the sample update and re-sampling.
     fn iteration(
         &self,
         ctx: &Arrival<'_>,
@@ -361,10 +389,6 @@ impl Enld {
             ambiguous: task.ambiguous.len(),
             contrastive_size: task.contrast.len(),
         });
-        task.next_iteration = iteration + 1;
-        // Iteration-boundary checkpoint: everything needed to replay the
-        // remaining iterations bit-identically after a crash.
-        self.persist(Some((&*task, &*theta)));
     }
 
     /// One step (lines 6–14): a fine-tune epoch over `C`, then one vote
@@ -434,8 +458,8 @@ impl Enld {
     /// `Trainer` is seeded from the epoch counter (warm-up epochs first,
     /// then `warmup_epochs + iteration·steps + step`), so the shuffle
     /// stream depends only on counters, never on how many epochs this
-    /// process has already run — the property that lets a resumed task
-    /// replay the remaining epochs bit-identically.
+    /// process has already run — the property that lets a task re-run
+    /// after a crash replay bit-identically.
     fn train_epoch(
         &self,
         ctx: &Arrival<'_>,

@@ -1,8 +1,8 @@
 //! The ENLD detector, one file per algorithm of the paper: this one holds
 //! Alg. 1 lines 1–2 ([`Enld::init`]: general model, `P̃`, `H`) and the
 //! accessors; `select` is Alg. 2; `detect` is Alg. 3 ([`Enld::detect`], a
-//! pipeline of phases over one [`InFlightTask`]); `update` is Alg. 4
-//! ([`Enld::update_model`]); `recovery` is the checkpoint glue
+//! pipeline of phases over one in-memory `InFlightTask`); `update` is
+//! Alg. 4 ([`Enld::update_model`]); `recovery` is the checkpoint glue
 //! ([`Enld::resume_from`] and the one persist call).
 
 mod detect;
@@ -11,7 +11,7 @@ mod select;
 mod update;
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use enld_datagen::split::split_half;
@@ -23,7 +23,7 @@ use enld_nn::trainer::Trainer;
 use enld_telemetry as telemetry;
 use enld_telemetry::metrics::global as metrics;
 
-use crate::checkpoint::{self, InFlightTask};
+use crate::checkpoint;
 use crate::config::EnldConfig;
 use crate::ledger::LedgerSink;
 use crate::probability::ConditionalLabelProbability;
@@ -56,35 +56,17 @@ pub struct Enld {
 }
 
 /// Crash-recovery wiring. It belongs to one instance: cloning a detector
-/// yields none of it, so a clone neither writes to the original's
-/// checkpoint file (two writers would race the tmp + rename), nor takes
-/// the original's base for its own, nor inherits a pending in-flight task
-/// (only one detect call may consume it).
+/// yields none of it, so a clone never writes to the original's
+/// checkpoint file (two writers would race the tmp + rename).
 #[derive(Default)]
 struct Recovery {
     /// Checkpoint file; `None` disables checkpointing.
     checkpoint_path: Option<PathBuf>,
-    /// Frame checksum of the last checkpoint base this instance wrote to
-    /// `checkpoint_path`: a persist inside a task writes only the part
-    /// bound to it. Set through `&self`, since the phases of a running
-    /// task hold the detector shared.
-    base_written: Mutex<Option<u64>>,
-    /// In-flight task restored by [`Enld::resume_from`], consumed by the
-    /// next [`Enld::detect`] call.
-    pending: Option<InFlightTask>,
 }
 
 impl Clone for Recovery {
     fn clone(&self) -> Self {
         Self::default()
-    }
-}
-
-impl Recovery {
-    /// The next persist rewrites the base: the file or the state it
-    /// records changed outside a task and update boundary.
-    fn forget_base(&mut self) {
-        *self.base_written.get_mut().expect("checkpoint state poisoned") = None;
     }
 }
 
@@ -210,6 +192,9 @@ impl Enld {
     /// settings, index backend); experiment harnesses use this to share
     /// one expensive general-model setup across many configuration sweeps.
     ///
+    /// With checkpoints enabled, the checkpoint is rewritten at once: it
+    /// records the configuration's fingerprint.
+    ///
     /// # Panics
     /// Panics if the new configuration differs in `arch`, `seed` or
     /// `init_train` — those would make the trained state inconsistent.
@@ -222,8 +207,8 @@ impl Enld {
             "reconfigure cannot change general-model training"
         );
         self.config = *config;
-        // The base records the configuration's fingerprint.
-        self.recovery.forget_base();
+        // The checkpoint records the configuration's fingerprint.
+        self.persist();
     }
 }
 
@@ -321,13 +306,14 @@ mod test_spans {
     /// A closed span as [`DetectSpans`] keeps it: its unsigned fields only.
     struct SeenSpan {
         name: &'static str,
+        id: u64,
         parent: Option<u64>,
         trace: u64,
         fields: Vec<(&'static str, u64)>,
     }
 
-    /// Collects every closed `enld.detect` and `enld.detect.iteration`
-    /// span. Installed once for the test process; a test reads only the
+    /// Collects every closed `enld.detect`, `enld.detect.iteration` and
+    /// `enld.checkpoint.persist` span. Installed once for the test process; a test reads only the
     /// spans under a root span of its own, so tests running beside it do
     /// not mix in.
     #[derive(Default)]
@@ -341,15 +327,18 @@ mod test_spans {
         fn on_event(&self, _: &Event) {}
 
         fn on_span(&self, span: &SpanRecord) {
-            if matches!(span.name, "enld.detect" | "enld.detect.iteration") {
+            if matches!(
+                span.name,
+                "enld.detect" | "enld.detect.iteration" | "enld.checkpoint.persist"
+            ) {
                 let fields = (span.fields.iter())
                     .filter_map(|&(k, ref v)| match v {
                         FieldValue::U64(n) => Some((k, *n)),
                         _ => None,
                     })
                     .collect();
-                let (name, parent, trace) = (span.name, span.parent, span.trace);
-                let seen = SeenSpan { name, parent, trace, fields };
+                let (name, id, parent, trace) = (span.name, span.id, span.parent, span.trace);
+                let seen = SeenSpan { name, id, parent, trace, fields };
                 self.0.lock().expect("detect spans poisoned").push(seen);
             }
         }
@@ -372,6 +361,19 @@ mod test_spans {
                 .filter(|s| s.name == "enld.detect" && s.parent == Some(root))
                 .map(|s| s.fields.iter().find(|(k, _)| *k == key).map(|&(_, n)| n))
                 .collect()
+        }
+
+        /// The parent of every `enld.checkpoint.persist` span in `root`'s
+        /// trace, and the id of each arrival `detect` finished under `root`.
+        pub(super) fn persist_parents(&self, root: u64) -> (Vec<Option<u64>>, Vec<u64>) {
+            let spans = self.0.lock().expect("detect spans poisoned");
+            let persists = (spans.iter())
+                .filter(|s| s.name == "enld.checkpoint.persist" && s.trace == root)
+                .map(|s| s.parent);
+            let detects = (spans.iter())
+                .filter(|s| s.name == "enld.detect" && s.parent == Some(root))
+                .map(|s| s.id);
+            (persists.collect(), detects.collect())
         }
 
         /// Iterations run in `root`'s trace.

@@ -12,9 +12,8 @@ use enld_nn::matrix::Matrix;
 use enld_nn::model::{Mlp, Outputs};
 use enld_telemetry as telemetry;
 
-use super::detect::{sampling_rng, Arrival};
+use super::detect::{sampling_rng, Arrival, InFlightTask};
 use super::Enld;
-use crate::checkpoint::InFlightTask;
 use crate::sampling::{
     contrastive_sampling, policy_sampling, random_subset, ContrastSource, SamplingPolicy,
 };

@@ -68,7 +68,7 @@ impl Enld {
         }
         // Update-boundary checkpoint: a crash after the swap must not
         // resume into pre-update state (the derived seeds moved on).
-        self.persist(None);
+        self.persist();
         clean.len()
     }
 }

@@ -4,10 +4,10 @@
 //! Works on [`OwnedSpan`]s parsed back from a `--trace-out` JSONL file
 //! (by `enld profile`) and answers the question an end-to-end benchmark
 //! cannot: *which span site* is responsible for a regression. Self-time attributes each
-//! microsecond to exactly one site; the critical path walks the chain of
-//! latest-ending children from a trace's root, so its contributions
-//! telescope to the root's wall-clock — the spans that actually bound
-//! end-to-end latency at a given thread count.
+//! microsecond to exactly one site; the critical path walks each span's
+//! children backwards from its end, so its contributions telescope to the
+//! root's wall-clock — the spans that actually bound end-to-end latency at
+//! a given thread count.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -119,10 +119,10 @@ pub struct PathStep {
     pub tid: u64,
     /// The span's full duration.
     pub dur_us: u64,
-    /// The step's exclusive contribution to the path: its duration minus
-    /// the duration of the child the path descends into (the full
-    /// duration for the final step). Contributions telescope, so they
-    /// sum to the root span's wall-clock.
+    /// The step's exclusive contribution to the path: the part of its
+    /// duration that none of its children on the path covers (the full
+    /// duration for a leaf). Contributions telescope, so they sum to the
+    /// root span's wall-clock.
     pub contribution_us: u64,
 }
 
@@ -131,10 +131,12 @@ pub fn slowest_trace(spans: &[OwnedSpan]) -> Option<u64> {
     spans.iter().filter(|s| s.id == s.trace).max_by_key(|s| s.dur_us).map(|s| s.trace)
 }
 
-/// Critical path of trace `trace_id`: starting at the root span, repeatedly
-/// descend into the latest-*ending* child — the one that was still running
-/// closest to the parent's completion and therefore bounded it. Empty when
-/// the root span is absent.
+/// Critical path of trace `trace_id`: the root span, then, for every
+/// span on the path, the children that bounded it, found by walking
+/// backwards from its end — take the child that ends latest at or before
+/// the cursor, charge the gap to the parent, and move the cursor to that
+/// child's start. Steps come in start order, each span before its
+/// children. Empty when the root span is absent.
 pub fn critical_path(spans: &[OwnedSpan], trace_id: u64) -> Vec<PathStep> {
     let trace: Vec<&OwnedSpan> = spans.iter().filter(|s| s.trace == trace_id).collect();
     let mut children: HashMap<u64, Vec<&OwnedSpan>> = HashMap::new();
@@ -143,26 +145,46 @@ pub fn critical_path(spans: &[OwnedSpan], trace_id: u64) -> Vec<PathStep> {
             children.entry(p).or_default().push(s);
         }
     }
-    let Some(mut cur) = trace.iter().find(|s| s.id == trace_id).copied() else {
-        return Vec::new();
-    };
+    // Latest end first; of two that end together, the longer.
+    for kids in children.values_mut() {
+        kids.sort_by_key(|s| std::cmp::Reverse((s.end_us(), s.dur_us)));
+    }
     let mut path = Vec::new();
-    loop {
-        let next = children
-            .get(&cur.id)
-            .and_then(|c| c.iter().max_by_key(|s| (s.end_us(), s.dur_us)).copied());
-        let descend_dur = next.map(|n| n.dur_us).unwrap_or(0);
-        path.push(PathStep {
-            name: cur.name.clone(),
-            id: cur.id,
-            tid: cur.tid,
-            dur_us: cur.dur_us,
-            contribution_us: cur.dur_us.saturating_sub(descend_dur),
-        });
-        match next {
-            Some(n) if path.len() <= 512 => cur = n,
-            _ => return path,
+    if let Some(root) = trace.iter().find(|s| s.id == trace_id) {
+        walk_back(root, &children, 0, &mut path);
+    }
+    path
+}
+
+/// Appends `span` and then the critical path below it to `path`.
+fn walk_back(
+    span: &OwnedSpan,
+    children: &HashMap<u64, Vec<&OwnedSpan>>,
+    depth: usize,
+    path: &mut Vec<PathStep>,
+) {
+    let mut bounding = Vec::new();
+    let mut cursor = span.end_us();
+    let mut gaps = 0;
+    // A malformed file with a parent cycle cannot recurse without end.
+    if depth < 512 {
+        for &child in children.get(&span.id).into_iter().flatten() {
+            if child.end_us() <= cursor {
+                gaps += cursor - child.end_us();
+                cursor = child.start_us;
+                bounding.push(child);
+            }
         }
+    }
+    path.push(PathStep {
+        name: span.name.clone(),
+        id: span.id,
+        tid: span.tid,
+        dur_us: span.dur_us,
+        contribution_us: gaps + cursor.saturating_sub(span.start_us),
+    });
+    for child in bounding.into_iter().rev() {
+        walk_back(child, children, depth + 1, path);
     }
 }
 
@@ -246,11 +268,37 @@ mod tests {
         let spans = sample();
         assert_eq!(slowest_trace(&spans), Some(1));
         let path = critical_path(&spans, 1);
-        let names: Vec<&str> = path.iter().map(|p| p.name.as_str()).collect();
-        // Latest-ending child of detect is step#5 (ends at 96).
-        assert_eq!(names, vec!["detect", "step"]);
+        let steps: Vec<(&str, u64)> =
+            path.iter().map(|p| (p.name.as_str(), p.contribution_us)).collect();
+        // Back from detect's end: step#5 (91–96), step#3 (20–90, with knn
+        // at 25–65 inside it), setup (0–20); 4 + 1 µs of gaps in detect.
+        assert_eq!(steps, [("detect", 5), ("setup", 20), ("step", 30), ("knn", 40), ("step", 5)]);
         let sum: u64 = path.iter().map(|p| p.contribution_us).sum();
         assert_eq!(sum, 100, "contributions telescope to the root wall-clock");
+    }
+
+    /// Sequential children each bound their parent in turn: the parent is
+    /// charged only the gaps between them, its self-time.
+    #[test]
+    fn critical_path_walks_sequential_children_back_from_the_end() {
+        let spans = vec![
+            s(1, None, 1, 1, "detect", 0, 100),
+            s(2, Some(1), 1, 1, "warmup", 2, 28),
+            s(3, Some(1), 1, 1, "iteration", 30, 30),
+            s(4, Some(3), 1, 1, "step", 31, 20),
+            s(5, Some(1), 1, 1, "iteration", 61, 36),
+            // Runs beside the second iteration, ending before it: not on the path.
+            s(6, Some(1), 1, 2, "par.task", 62, 30),
+        ];
+        let path = critical_path(&spans, 1);
+        let steps: Vec<(&str, u64)> =
+            path.iter().map(|p| (p.name.as_str(), p.contribution_us)).collect();
+        let want =
+            [("detect", 6), ("warmup", 28), ("iteration", 10), ("step", 20), ("iteration", 36)];
+        assert_eq!(steps, want);
+        let detect = aggregate_sites(&spans[..5]).into_iter().find(|x| x.name == "detect");
+        assert_eq!(detect.map(|x| x.self_us), Some(6), "detect's contribution is its self-time");
+        assert_eq!(path.iter().map(|p| p.contribution_us).sum::<u64>(), 100);
     }
 
     #[test]

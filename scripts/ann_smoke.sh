@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # ANN index smoke test: run `enld detect --index hnsw` against a
 # generated lake (one HNSW build per selection round + batched queries),
-# kill it with an injected panic at the `checkpoint.write` failpoint in
-# the middle of the first arrival, resume from the surviving checkpoint
-# (which carries no index: the resumed rounds build their own), and
+# kill it with an injected panic at the `checkpoint.write` failpoint at
+# the end of the first arrival, resume from the surviving checkpoint
+# (which carries no index: the re-run rounds build their own), and
 # assert the resumed verdicts match an uninterrupted run byte-for-byte
 # (timings excluded). Called from check.sh and CI.
 set -euo pipefail
@@ -21,12 +21,12 @@ BIN=./target/release/enld
 "$BIN" detect --lake "$DIR/lake.json" --index hnsw --iterations 2 \
   --out "$DIR/base.json" >/dev/null
 
-# Same run, killed mid-task. Base and part both pass `checkpoint.write`:
-# hits 1 and 2 are arrival 0's post-warm-up base and part, hit 3 is the
-# part after its first iteration. Killing hit 3 leaves the post-warm-up
-# pair, so the resume reruns iteration 0, its index build included.
+# Same run, killed at a checkpoint write: hit 1 is the checkpoint that
+# `--checkpoint` writes before the first arrival, hit 2 the one at the end
+# of arrival 0. Killing hit 2 leaves hit 1's, so the resume re-runs
+# arrival 0 from its start, every selection round's index build included.
 rc=0
-ENLD_FAILPOINTS="checkpoint.write=panic@nth:3" \
+ENLD_FAILPOINTS="checkpoint.write=panic@nth:2" \
   "$BIN" detect --lake "$DIR/lake.json" --index hnsw --iterations 2 \
   --out "$DIR/got.json" --checkpoint "$DIR/state.ckpt" \
   >/dev/null 2>"$DIR/crash.log" || rc=$?

@@ -184,8 +184,8 @@ fn resume_after_injected_crash_matches_the_uninterrupted_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Points `ann.insert` passes in task 0 before its first checkpoint: the
-/// round −1 index build, one insert per sample of `H ∩ I'`.
+/// Points `ann.insert` passes in task 0's round −1 index build: one
+/// insert per sample of `H ∩ I'`.
 fn round_minus_one_inserts(cfg: &EnldConfig) -> usize {
     let mut lake = build_lake();
     let enld = Enld::init(lake.inventory(), cfg);
@@ -206,9 +206,8 @@ fn hnsw_resume_after_ann_killpoints_matches_the_uninterrupted_run() {
     let dir = tmp_dir("ann-matrix");
     let mut cfg = EnldConfig::fast_test();
     cfg.index = IndexBackend::hnsw();
-    // Every round builds its own index. Round −1's build runs before the
-    // post-warm-up checkpoint, so the insert after it, the first of
-    // iteration 0's build, is the earliest kill a resume can recover.
+    // Every round builds its own index: kill the first insert of
+    // iteration 0's build, after warm-up.
     let spec = format!("ann.insert=panic@nth:{}", round_minus_one_inserts(&cfg) + 1);
     for threads in THREAD_COUNTS {
         let (expect, expect_ledger) = enld_par::with_threads(threads, || {
@@ -223,9 +222,9 @@ fn hnsw_resume_after_ann_killpoints_matches_the_uninterrupted_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint write that fails mid-run aborts loudly (silently running on
-/// would orphan the recovery contract), and the previous checkpoint on disk
-/// still resumes bit-identically.
+/// A checkpoint write that fails at a task boundary aborts loudly (silently
+/// running on would orphan the recovery contract), and the previous
+/// checkpoint on disk still resumes bit-identically.
 #[test]
 fn a_failed_checkpoint_write_aborts_and_the_previous_checkpoint_resumes() {
     let _guard = enld_chaos::scenario();
@@ -240,23 +239,21 @@ fn a_failed_checkpoint_write_aborts_and_the_previous_checkpoint_resumes() {
         canon(&enld.detect(&req.data))
     };
 
-    // A fresh detector's post-warm-up persist writes the base (write 1)
-    // and then the task's part (write 2); the end of iteration 0 rewrites
-    // only the part (write 3), which is the one that fails.
+    // Enabling checkpoints writes the first one (write 1); the end of
+    // task 0 writes the next (write 2), which is the one that fails.
     let mut lake = build_lake();
     let mut enld = Enld::init(lake.inventory(), &cfg);
+    enld_chaos::arm_from_spec("checkpoint.write=error@nth:2").expect("valid failpoint spec");
     enld.enable_checkpoints(&ckpt_path);
     let req = lake.next_request().expect("queued");
-    enld_chaos::arm_from_spec("checkpoint.write=error@nth:3").expect("valid failpoint spec");
     let crashed = catch_unwind(AssertUnwindSafe(move || {
         let _ = enld.detect(&req.data);
     }));
     enld_chaos::disarm_all();
     assert!(crashed.is_err(), "a failed checkpoint write must abort, not continue silently");
 
-    let ckpt = Checkpoint::load(&ckpt_path).expect("the post-warm-up checkpoint survives");
-    let in_flight = ckpt.in_flight.as_ref().expect("task 0 was in flight");
-    assert_eq!(in_flight.next_iteration, 0, "only the post-warm-up write had succeeded");
+    let ckpt = Checkpoint::load(&ckpt_path).expect("the first checkpoint survives");
+    assert_eq!(ckpt.tasks, 0, "only the write before task 0 had succeeded");
     let mut lake = build_lake();
     let mut resumed = Enld::resume_from(lake.inventory(), &cfg, &ckpt).expect("resume");
     let req = lake.next_request().expect("queued");
@@ -307,7 +304,7 @@ fn a_crash_inside_update_model_resumes_and_replays_the_update() {
     // is the task boundary and the driver replays the update.
     let ckpt = Checkpoint::load(&ckpt_path).expect("task-boundary checkpoint");
     assert_eq!(ckpt.updates, 0, "the crashed update must not have been persisted");
-    assert!(ckpt.in_flight.is_none(), "task 0 had completed");
+    assert_eq!(ckpt.tasks, 1, "task 0 had completed");
     let mut resumed = Enld::resume_from(lake.inventory(), &cfg, &ckpt).expect("resume");
     resumed.enable_checkpoints(&ckpt_path);
     assert_eq!(resumed.tasks_completed(), 1);
