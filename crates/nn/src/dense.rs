@@ -3,15 +3,32 @@
 use rand::rngs::StdRng;
 
 use crate::init::he_uniform;
-use crate::matrix::Matrix;
+use crate::matrix::{
+    all_finite, gemm, pick, transpose_into, Epilogue, Lhs, Matrix, Scratch, Tally,
+};
 use crate::optimizer::SgdConfig;
+
+/// The buffers a layer's products and updates reuse from one call to the
+/// next — the products' own, `Wᵀ` for an input gradient, `dW` and `db` —
+/// so that a pass over many layers allocates none of them per product.
+#[derive(Default)]
+pub(crate) struct Work {
+    gemm: Scratch,
+    wt: Vec<f32>,
+    dw: Vec<f32>,
+    db: Vec<f32>,
+}
 
 /// `y = x·W + b`, with the SGD velocity of `W` and `b`.
 ///
 /// `W` is stored `(in_dim × out_dim)` so the forward pass is a plain
-/// row-major matmul over a batch `(n × in_dim)`. The layer keeps nothing
+/// row-major product over a batch `(n × in_dim)`. The layer keeps nothing
 /// from one batch to the next: the caller hands the forward input back to
-/// [`Dense::step`].
+/// `Dense::step`, and the buffers of a pass live in the caller's `Work`.
+///
+/// Each product takes what the rule of `nn::matrix` asks of its operands
+/// from the caller: the exact zeros of the left operand and whether the
+/// right one is finite, as the pass that wrote them counted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     w: Matrix,
@@ -62,31 +79,108 @@ impl Dense {
         self.w.cols()
     }
 
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_bias(&self.b);
-        y
+    /// Whether every weight is finite: the rule's question about `W`,
+    /// which no pass of a step writes before reading it.
+    pub(crate) fn weights_finite(&self) -> bool {
+        all_finite(self.w.data())
     }
 
-    /// `dX = dy · Wᵀ`, the gradient handed to the layer below.
-    pub fn input_grad(&self, dy: &Matrix) -> Matrix {
-        dy.matmul_bt(&self.w)
+    /// `out = x·W + b`, finished by `epi` (its skips and activation; the
+    /// bias is this layer's). `x` has `x_zeros` exact zeros.
+    pub(crate) fn forward_into(
+        &self,
+        x: &Matrix,
+        x_zeros: usize,
+        w_finite: bool,
+        epi: Epilogue<'_>,
+        out: &mut Matrix,
+        work: &mut Work,
+    ) -> Tally {
+        let (m, k, n) = (x.rows(), self.in_dim(), self.out_dim());
+        let body = pick(n, x.data().len(), || x_zeros, || w_finite);
+        out.reuse(m, n);
+        let epi = Epilogue { bias: Some(&self.b), ..epi };
+        gemm(
+            Some(body),
+            Lhs::Rows(x.data()),
+            m,
+            k,
+            self.w.data(),
+            n,
+            &epi,
+            out.data_mut(),
+            &mut work.gemm,
+        )
+    }
+
+    /// `out = dy · Wᵀ`, the gradient handed to the layer below, finished
+    /// by `epi`. `W` is transposed once, into `work`, and read where it
+    /// lies. `dy` has `dy_zeros` exact zeros.
+    pub(crate) fn input_grad_into(
+        &self,
+        dy: &Matrix,
+        dy_zeros: usize,
+        w_finite: bool,
+        epi: Epilogue<'_>,
+        out: &mut Matrix,
+        work: &mut Work,
+    ) -> Tally {
+        let (m, k, n) = (dy.rows(), self.out_dim(), self.in_dim());
+        transpose_into(self.w.data(), n, k, &mut work.wt);
+        let body = pick(n, dy.data().len(), || dy_zeros, || w_finite);
+        out.reuse(m, n);
+        gemm(
+            Some(body),
+            Lhs::Rows(dy.data()),
+            m,
+            k,
+            &work.wt,
+            n,
+            &epi,
+            out.data_mut(),
+            &mut work.gemm,
+        )
     }
 
     /// One SGD step from the batch that produced `dy`: `dW = xᵀ · dy` and
     /// `db` = column sums of `dy`, consumed as they are produced. Take
-    /// [`Dense::input_grad`] first — it must see the pre-step weights.
-    pub fn step(&mut self, x: &Matrix, dy: &Matrix, cfg: &SgdConfig) {
-        let dw = x.matmul_at(dy);
-        cfg.step(self.w.data_mut(), dw.data(), &mut self.vel_w, true);
-        let mut db = vec![0.0f32; self.b.len()];
+    /// [`Dense::input_grad_into`] first — it must see the pre-step
+    /// weights. `x` has `x_zeros` exact zeros.
+    pub(crate) fn step(
+        &mut self,
+        x: &Matrix,
+        x_zeros: usize,
+        dy: &Matrix,
+        dy_finite: bool,
+        cfg: &SgdConfig,
+        work: &mut Work,
+    ) {
+        let (m, k, n) = (self.in_dim(), x.rows(), self.out_dim());
+        let body = pick(n, x.data().len(), || x_zeros, || dy_finite);
+        work.dw.resize(m * n, 0.0);
+        let epi = Epilogue::default();
+        gemm(
+            Some(body),
+            Lhs::Cols(x.data()),
+            m,
+            k,
+            dy.data(),
+            n,
+            &epi,
+            &mut work.dw,
+            &mut work.gemm,
+        );
+        cfg.step(self.w.data_mut(), &work.dw, &mut self.vel_w, true);
+        let db = &mut work.db;
+        db.clear();
+        db.resize(n, 0.0);
         for r in 0..dy.rows() {
             for (gb, &d) in db.iter_mut().zip(dy.row(r)) {
                 *gb += d;
             }
         }
         // Biases are conventionally exempt from weight decay.
-        cfg.step(&mut self.b, &db, &mut self.vel_b, false);
+        cfg.step(&mut self.b, db, &mut self.vel_b, false);
     }
 
     /// Resets momentum buffers (used when a fine-tune run starts from a
@@ -106,6 +200,14 @@ impl Dense {
 mod tests {
     use super::*;
     use crate::init::seeded_rng;
+    use crate::matrix::count_zeros;
+
+    fn forward(layer: &Dense, x: &Matrix) -> Matrix {
+        let mut y = Matrix::default();
+        let (zeros, finite) = (count_zeros(x.data()), layer.weights_finite());
+        layer.forward_into(x, zeros, finite, Epilogue::default(), &mut y, &mut Work::default());
+        y
+    }
 
     /// Numerically checks dX on a tiny layer via central differences.
     #[test]
@@ -116,12 +218,21 @@ mod tests {
 
         // Loss = sum(y^2)/2 so dL/dy = y.
         let loss_of = |x: &Matrix| -> f32 {
-            let y = layer.forward(x);
+            let y = forward(&layer, x);
             y.data().iter().map(|v| v * v).sum::<f32>() / 2.0
         };
 
-        let y = layer.forward(&x);
-        let dx = layer.input_grad(&y);
+        let y = forward(&layer, &x);
+        let mut dx = Matrix::default();
+        let (zeros, finite) = (count_zeros(y.data()), layer.weights_finite());
+        layer.input_grad_into(
+            &y,
+            zeros,
+            finite,
+            Epilogue::default(),
+            &mut dx,
+            &mut Work::default(),
+        );
 
         let eps = 1e-3f32;
         for idx in 0..x.data().len() {
@@ -141,9 +252,10 @@ mod tests {
         let mut layer = Dense::new(2, 2, &mut rng);
         let before = layer.clone();
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         let lr = 0.1;
-        layer.step(&x, &y, &SgdConfig { lr, momentum: 0.0, weight_decay: 0.0 });
+        let sgd = SgdConfig { lr, momentum: 0.0, weight_decay: 0.0 };
+        layer.step(&x, 0, &y, true, &sgd, &mut Work::default());
         // dW = xᵀ·y and db = y for a one-row batch of ones.
         let (w0, b0, ..) = before.parts();
         let (w1, b1, ..) = layer.parts();

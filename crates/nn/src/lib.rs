@@ -46,7 +46,7 @@
 //! ```
 
 // Two runtime-dispatched SIMD sites carry `#[allow(unsafe_code)]`:
-// `matrix::gemm_packed` and `quant::gemv_i16`. A third fails the build.
+// `matrix::gemm` and `quant::gemv_i16`. A third fails the build.
 #![deny(unsafe_code)]
 
 pub mod arch;

@@ -61,9 +61,7 @@ pub fn mixup_batch(
     let mix = |a: &Matrix| -> Matrix {
         let mut out = a.clone();
         for (r, &other) in perm.iter().enumerate() {
-            // Split-borrow via raw copy of the partner row.
-            let partner: Vec<f32> = a.row(other).to_vec();
-            for (o, p) in out.row_mut(r).iter_mut().zip(partner) {
+            for (o, &p) in out.row_mut(r).iter_mut().zip(a.row(other)) {
                 *o = lambda * *o + (1.0 - lambda) * p;
             }
         }

@@ -7,26 +7,67 @@
 //! and [`Mlp::scan`], the one chunked pass those delegate to, which keeps
 //! any of them (plus the logits' argmax) for any list of rows.
 
+use std::mem::take;
+
 use crate::arch::{Connectivity, ModelConfig};
 use crate::data::DataRef;
-use crate::dense::Dense;
+use crate::dense::{Dense, Work};
 use crate::init::seeded_rng;
 use crate::loss::{softmax_cross_entropy, softmax_inplace};
-use crate::matrix::Matrix;
+use crate::matrix::{count_zeros, Act, Epilogue, Matrix, Tally};
 use crate::optimizer::SgdConfig;
 
 /// Rows per chunk of an inference pass.
 const INFERENCE_BATCH: usize = 256;
 
-/// What one forward pass produced: every post-ReLU activation in layer
-/// order (embedding output, then hidden and output per block) plus the
-/// logits. `acts[j]` is the output of layer `j` and the input of layer
-/// `j + 1`, which is all a backward pass needs: the activation feeding a
-/// layer is that layer's `dW` input, and a ReLU output is positive exactly
-/// where its gradient passes.
-struct Tape {
+/// What one forward pass produced. Activation `j` is the post-ReLU output
+/// of layer `j` (embedding output, then hidden and output per block) and
+/// the input of layer `j + 1`; it lands in `acts[slot(j)]`, with the exact
+/// zeros its product's epilogue counted in `zeros[slot(j)]`. A train step
+/// keeps every activation (`slot(j) = j`), which is all its backward pass
+/// needs: the activation feeding a layer is that layer's `dW` input, and a
+/// ReLU output is positive exactly where its gradient passes. Inference
+/// keeps four ([`inference_slot`]).
+#[derive(Default)]
+struct Pass {
+    /// Exact zeros in the input batch.
+    x_zeros: usize,
     acts: Vec<Matrix>,
+    zeros: Vec<usize>,
     logits: Matrix,
+    work: Work,
+}
+
+impl Pass {
+    /// Makes room for `slots` activations.
+    fn with_slots(&mut self, slots: usize) -> &mut Self {
+        self.acts.resize_with(slots, Matrix::default);
+        self.zeros.resize(slots, 0);
+        self
+    }
+}
+
+/// Where inference keeps activation `j`: the embedding output in slot 0,
+/// for the global skips of dense connectivity, every block's hidden
+/// activation in slot 1, and the block outputs in slots 2 and 3 in turn —
+/// two ping-pong buffers, each block reading its input from one and
+/// writing its output to the other.
+fn inference_slot(j: usize) -> usize {
+    match j {
+        0 => 0,
+        j if j % 2 == 1 => 1,
+        j => 2 + j / 2 % 2,
+    }
+}
+
+/// What a train step reuses from one step of a fit to the next: its
+/// forward [`Pass`], the three gradients its backward walk rotates
+/// through, and the sum of the global-skip gradients.
+#[derive(Default)]
+pub(crate) struct StepScratch {
+    pass: Pass,
+    grads: [Matrix; 3],
+    global: Matrix,
 }
 
 /// Residual MLP classifier: its configuration, and its layers in the one
@@ -117,81 +158,134 @@ impl Mlp {
         self.layers.iter_mut().for_each(Dense::reset_momentum);
     }
 
-    /// The one forward pass over a batch.
-    fn forward(&self, x: &Matrix) -> Tape {
+    /// Whether each layer's weights are all finite, in layer order.
+    fn weights_finite(&self) -> Vec<bool> {
+        self.layers.iter().map(Dense::weights_finite).collect()
+    }
+
+    /// The one forward pass over a batch, into `pass` (activation `j` in
+    /// slot `slot(j)`, which `pass` must have room for) and its logits.
+    /// Every bias, skip and ReLU is applied by its layer's product as it
+    /// finishes each row, in the unfused order: `y = ReLU(((x·W + b) +
+    /// x_in) + x₀)`. `w_finite` is [`Mlp::weights_finite`].
+    fn forward(&self, x: &Matrix, w_finite: &[bool], pass: &mut Pass, slot: fn(usize) -> usize) {
         let dense = self.config.connectivity == Connectivity::DenselyConnected;
         let (head, body) = self.layers.split_last().expect("a model has a head");
-        let mut acts = Vec::with_capacity(body.len());
-        let mut h = body[0].forward(x);
-        h.relu();
-        acts.push(h);
-        for block in body[1..].chunks_exact(2) {
-            let x = &acts[acts.len() - 1];
-            let mut hidden = block[0].forward(x);
-            hidden.relu();
-            let mut y = block[1].forward(&hidden);
-            y.add_assign(x);
-            if dense {
-                y.add_assign(&acts[0]);
-            }
-            y.relu();
-            acts.push(hidden);
-            acts.push(y);
+        let Pass { x_zeros, acts, zeros, logits, work } = pass;
+        let relu = Epilogue { act: Act::Relu, ..Epilogue::default() };
+        *x_zeros = count_zeros(x.data());
+        let mut y = take(&mut acts[slot(0)]);
+        zeros[slot(0)] = body[0].forward_into(x, *x_zeros, w_finite[0], relu, &mut y, work).zeros;
+        acts[slot(0)] = y;
+        for j in (1..body.len()).step_by(2) {
+            let (from, hidden, to) = (slot(j - 1), slot(j), slot(j + 1));
+            let mut h = take(&mut acts[hidden]);
+            let t = body[j].forward_into(&acts[from], zeros[from], w_finite[j], relu, &mut h, work);
+            zeros[hidden] = t.zeros;
+            let mut y = take(&mut acts[to]);
+            let global = dense.then(|| acts[slot(0)].data());
+            let epi = Epilogue { skips: [Some(acts[from].data()), global], ..relu };
+            let t = body[j + 1].forward_into(&h, zeros[hidden], w_finite[j + 1], epi, &mut y, work);
+            zeros[to] = t.zeros;
+            acts[hidden] = h;
+            acts[to] = y;
         }
-        let logits = head.forward(&acts[acts.len() - 1]);
-        Tape { acts, logits }
+        let last = slot(body.len() - 1);
+        let (input, zeros) = (&acts[last], zeros[last]);
+        head.forward_into(input, zeros, w_finite[body.len()], Epilogue::default(), logits, work);
     }
 
     /// Backward pass and SGD step in one walk from the head down: each
     /// layer's `dW`/`db` are consumed as they are produced, after its `dX`
-    /// was taken against the pre-step weights. `tape` is the forward pass
-    /// of the same `x`.
-    fn backward_step(&mut self, x: &Matrix, tape: &Tape, dlogits: &Matrix, sgd: &SgdConfig) {
+    /// was taken against the pre-step weights. Each `dX` product applies
+    /// the residual and global skips and the ReLU mask of the activation
+    /// it is the gradient of as it finishes each row, in the unfused
+    /// order: `d = mask(((dh·W₁ᵀ) + dy) + Σdy)`. `s.pass` is the forward
+    /// pass of the same `x`.
+    fn backward_step(
+        &mut self,
+        x: &Matrix,
+        w_finite: &[bool],
+        dlogits: &Matrix,
+        s: &mut StepScratch,
+        sgd: &SgdConfig,
+    ) {
         let dense = self.config.connectivity == Connectivity::DenselyConnected;
-        let acts = &tape.acts;
-        let mut layer_step = |j: usize, dy: &Matrix| {
-            let dx = self.layers[j].input_grad(dy);
-            self.layers[j].step(&acts[j - 1], dy, sgd);
-            dx
-        };
-        let mut d = layer_step(acts.len(), dlogits);
-        // Gradient reaching the embedding output through the global skips.
-        let mut d_global: Option<Matrix> = None;
-        for d2 in (2..acts.len()).step_by(2).rev() {
-            let mut dy = d;
-            dy.zero_where_not_positive(&acts[d2]);
-            let mut dh = layer_step(d2, &dy);
-            dh.zero_where_not_positive(&acts[d2 - 1]);
-            d = layer_step(d2 - 1, &dh);
-            d.add_assign(&dy); // residual skip
+        let StepScratch { pass: Pass { x_zeros, acts, zeros, work, .. }, grads, global } = s;
+        let [dy, dh, d] = grads;
+        let layers = &mut self.layers;
+        let l = layers.len();
+        fn mask(a: &Matrix) -> Epilogue<'_> {
+            Epilogue { act: Act::Mask(a.data()), ..Epilogue::default() }
+        }
+        // No pass of ours wrote the logits' gradient: scan it.
+        let dl = Tally::of(dlogits.data());
+        let mut t = layers[l - 1].input_grad_into(
+            dlogits,
+            dl.zeros,
+            w_finite[l - 1],
+            mask(&acts[l - 2]),
+            d,
+            work,
+        );
+        layers[l - 1].step(&acts[l - 2], zeros[l - 2], dlogits, dl.finite, sgd, work);
+        // Block `(j1, j1 + 1)`, top block first.
+        for j1 in (1..l - 2).step_by(2).rev() {
+            let j2 = j1 + 1;
+            std::mem::swap(dy, d);
+            let t_dy = t;
+            let t_dh =
+                layers[j2].input_grad_into(dy, t_dy.zeros, w_finite[j2], mask(&acts[j1]), dh, work);
+            layers[j2].step(&acts[j1], zeros[j1], dy, t_dy.finite, sgd, work);
+            // The gradient reaching the embedding output through the
+            // global skips, complete before the bottom block needs it.
             if dense {
-                match &mut d_global {
-                    Some(total) => total.add_assign(&dy),
-                    None => d_global = Some(dy),
+                if j2 == l - 2 {
+                    global.clone_from(dy);
+                } else {
+                    global.add_assign(dy);
                 }
             }
+            let g = (dense && j1 == 1).then(|| global.data());
+            let epi = Epilogue { skips: [Some(dy.data()), g], ..mask(&acts[j1 - 1]) };
+            t = layers[j1].input_grad_into(dh, t_dh.zeros, w_finite[j1], epi, d, work);
+            layers[j1].step(&acts[j1 - 1], zeros[j1 - 1], dh, t_dh.finite, sgd, work);
         }
-        if let Some(g) = d_global {
-            d.add_assign(&g);
-        }
-        d.zero_where_not_positive(&acts[0]);
-        self.layers[0].step(x, &d, sgd);
+        layers[0].step(x, *x_zeros, d, t.finite, sgd, work);
     }
 
     /// One training step on a batch — forward, mean cross-entropy against
-    /// the soft `targets`, backward and SGD step. Returns the loss.
-    pub(crate) fn train_step(&mut self, x: &Matrix, targets: &Matrix, sgd: &SgdConfig) -> f32 {
-        let tape = self.forward(x);
-        let (loss, dlogits) = softmax_cross_entropy(&tape.logits, targets);
-        self.backward_step(x, &tape, &dlogits, sgd);
+    /// the soft `targets`, backward and SGD step — in buffers `scratch`
+    /// keeps for the next step. Returns the loss.
+    pub(crate) fn train_step(
+        &mut self,
+        x: &Matrix,
+        targets: &Matrix,
+        sgd: &SgdConfig,
+        scratch: &mut StepScratch,
+    ) -> f32 {
+        let w_finite = self.weights_finite();
+        let pass = scratch.pass.with_slots(self.layers.len() - 1);
+        self.forward(x, &w_finite, pass, |j| j);
+        let (loss, dlogits) = softmax_cross_entropy(&pass.logits, targets);
+        self.backward_step(x, &w_finite, &dlogits, scratch, sgd);
         loss
     }
 
     /// Inference: the `(features, logits)` of the forward pass — the
-    /// penultimate activation is the last one on the tape.
+    /// penultimate activation is the last one it wrote.
     pub fn forward_inference(&self, x: &Matrix) -> (Matrix, Matrix) {
-        let Tape { mut acts, logits } = self.forward(x);
-        (acts.pop().expect("the embedding output is always on the tape"), logits)
+        self.infer(x, &self.weights_finite())
+    }
+
+    /// [`Mlp::forward_inference`] with the finiteness of the weights
+    /// already known; its buffers are its own, so chunks of one scan can
+    /// run it on different threads.
+    fn infer(&self, x: &Matrix, w_finite: &[bool]) -> (Matrix, Matrix) {
+        let mut pass = Pass::default();
+        self.forward(x, w_finite, pass.with_slots(4), inference_slot);
+        let features = take(&mut pass.acts[inference_slot(self.layers.len() - 2)]);
+        (features, pass.logits)
     }
 
     /// The one chunked inference pass: the rows of `data` named by `rows`
@@ -206,10 +300,11 @@ impl Mlp {
             proba: kept(keep.proba, self.config.classes),
             features: kept(keep.features, self.config.width),
         };
+        let w_finite = self.weights_finite();
         for_each_chunk(
             data,
             rows,
-            |batch| self.forward_inference(batch),
+            |batch| self.infer(batch, &w_finite),
             |start, (feats, mut logits)| {
                 for r in 0..logits.rows() {
                     if keep.labels {
@@ -379,10 +474,10 @@ mod tests {
         let targets = one_hot(data.labels(), 3);
         let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 0.0 };
 
-        let loss0 = model.train_step(&batch, &targets, &sgd);
+        let loss0 = model.train_step(&batch, &targets, &sgd, &mut StepScratch::default());
         let mut loss_prev = loss0;
         for _ in 0..30 {
-            loss_prev = model.train_step(&batch, &targets, &sgd);
+            loss_prev = model.train_step(&batch, &targets, &sgd, &mut StepScratch::default());
         }
         assert!(loss_prev < loss0 * 0.5, "loss {loss0} -> {loss_prev}");
         assert!(model.accuracy(data) > 0.9);
@@ -416,7 +511,8 @@ mod tests {
             let cfg = ModelConfig { input_dim: 3, classes: 2, width: 6, blocks: 2, connectivity };
             let model = Mlp::new(&cfg, 4);
             let mut stepped = model.clone();
-            stepped.train_step(&x, &targets, &SgdConfig { lr, momentum: 0.0, weight_decay: 0.0 });
+            let sgd = SgdConfig { lr, momentum: 0.0, weight_decay: 0.0 };
+            stepped.train_step(&x, &targets, &sgd, &mut StepScratch::default());
             let mut nonzero = 0;
             for (layer, (before, after)) in model.layers().iter().zip(stepped.layers()).enumerate()
             {
@@ -448,7 +544,7 @@ mod tests {
 
         let mut model = Mlp::new(&cfg, 6);
         for _ in 0..3 {
-            model.train_step(&batch, &targets, &sgd);
+            model.train_step(&batch, &targets, &sgd, &mut StepScratch::default());
         }
         let frozen = model.layers().to_vec();
         // A clone taken mid-training carries the momentum…
@@ -456,11 +552,11 @@ mod tests {
         assert_eq!(clone.layers(), model.layers());
         assert!(clone.layers().iter().any(|l| l.parts().2.iter().any(|v| *v != 0.0)));
         // …training it leaves the original alone…
-        clone.train_step(&batch, &targets, &sgd);
+        clone.train_step(&batch, &targets, &sgd, &mut StepScratch::default());
         assert_eq!(model.layers(), &frozen[..]);
         assert_ne!(clone.layers(), model.layers());
         // …and the original's next step is the very step the clone took.
-        model.train_step(&batch, &targets, &sgd);
+        model.train_step(&batch, &targets, &sgd, &mut StepScratch::default());
         assert_eq!(model.layers(), clone.layers());
     }
 
@@ -570,7 +666,7 @@ mod tests {
 
         // Build non-trivial momentum, then snapshot the walk.
         for _ in 0..3 {
-            model.train_step(&batch, &targets, &sgd);
+            model.train_step(&batch, &targets, &sgd, &mut StepScratch::default());
         }
         let snapshot = model.layers().to_vec();
         assert!(
@@ -584,9 +680,178 @@ mod tests {
         // One more identical step on both models must agree bit-for-bit;
         // without momentum restore the velocity term would diverge.
         for m in [&mut model, &mut restored] {
-            m.train_step(&batch, &targets, &sgd);
+            m.train_step(&batch, &targets, &sgd, &mut StepScratch::default());
         }
         assert_eq!(model.predict_proba(data).data(), restored.predict_proba(data).data());
+    }
+
+    /// One layer of the unfused reference: parameters and momentum.
+    struct RefLayer {
+        w: Matrix,
+        b: Vec<f32>,
+        vel_w: Vec<f32>,
+        vel_b: Vec<f32>,
+    }
+
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(a.cols(), a.rows());
+        for r in 0..a.rows() {
+            for (c, &v) in a.row(r).iter().enumerate() {
+                t.row_mut(c)[r] = v;
+            }
+        }
+        t
+    }
+
+    /// The forward pass as separate passes: `matmul_naive`, then the
+    /// bias, the skips and ReLU one after another. Every activation, then
+    /// the logits.
+    fn reference_forward(layers: &[RefLayer], dense: bool, x: &Matrix) -> (Vec<Matrix>, Matrix) {
+        let linear = |l: &RefLayer, x: &Matrix| {
+            let mut y = x.matmul_naive(&l.w);
+            y.add_row_bias(&l.b);
+            y
+        };
+        let (head, body) = layers.split_last().expect("a head");
+        let mut acts = vec![linear(&body[0], x)];
+        acts[0].relu();
+        for block in body[1..].chunks_exact(2) {
+            let input = acts[acts.len() - 1].clone();
+            let mut hidden = linear(&block[0], &input);
+            hidden.relu();
+            let mut y = linear(&block[1], &hidden);
+            y.add_assign(&input);
+            if dense {
+                y.add_assign(&acts[0]);
+            }
+            y.relu();
+            acts.push(hidden);
+            acts.push(y);
+        }
+        let logits = linear(head, &acts[acts.len() - 1]);
+        (acts, logits)
+    }
+
+    /// A train step as separate passes in the order the fused one keeps:
+    /// the walk from the head down with each `dX` taken before its
+    /// layer's SGD step, the residual skip added, then the global skips'
+    /// sum, each ReLU mask applied to the finished gradient.
+    fn reference_step(
+        layers: &mut [RefLayer],
+        dense: bool,
+        x: &Matrix,
+        targets: &Matrix,
+        sgd: &SgdConfig,
+    ) -> f32 {
+        let (acts, logits) = reference_forward(layers, dense, x);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, targets);
+        let mut layer_step = |j: usize, dy: &Matrix| {
+            let l = &mut layers[j];
+            let dx = dy.matmul_naive(&transpose(&l.w));
+            let input = if j == 0 { x } else { &acts[j - 1] };
+            let dw = transpose(input).matmul_naive(dy);
+            sgd.step(l.w.data_mut(), dw.data(), &mut l.vel_w, true);
+            let mut db = vec![0.0f32; l.b.len()];
+            for r in 0..dy.rows() {
+                for (g, &d) in db.iter_mut().zip(dy.row(r)) {
+                    *g += d;
+                }
+            }
+            sgd.step(&mut l.b, &db, &mut l.vel_b, false);
+            dx
+        };
+        let mut d = layer_step(acts.len(), &dlogits);
+        let mut d_global: Option<Matrix> = None;
+        for d2 in (2..acts.len()).step_by(2).rev() {
+            let mut dy = d;
+            dy.zero_where_not_positive(&acts[d2]);
+            let mut dh = layer_step(d2, &dy);
+            dh.zero_where_not_positive(&acts[d2 - 1]);
+            d = layer_step(d2 - 1, &dh);
+            d.add_assign(&dy);
+            if dense {
+                match &mut d_global {
+                    Some(total) => total.add_assign(&dy),
+                    None => d_global = Some(dy),
+                }
+            }
+        }
+        if let Some(g) = d_global {
+            d.add_assign(&g);
+        }
+        d.zero_where_not_positive(&acts[0]);
+        layer_step(0, &d);
+        loss
+    }
+
+    /// The fused step against the unfused reference, bit for bit: five
+    /// steps with momentum and decay (parameters, momentum and loss after
+    /// each), then a scan of the batch (labels, confidences, features).
+    /// Both connectivities; heads below the row body's floor, inside one
+    /// strip, and one column past it; a batch with an all-zero row, 40 %
+    /// zeros on the input and `-0.0` among them; and a model with one `∞`
+    /// weight, whose products the rule sends to the tiles.
+    #[test]
+    fn train_step_and_scan_match_the_unfused_reference_bitwise() {
+        let (input_dim, rows) = (40, 32);
+        let xs: Vec<f32> = (0..rows * input_dim)
+            .map(|i| match (i / input_dim, (i * 7) % 5) {
+                (3, _) => 0.0,
+                (_, 0) => -0.0,
+                (_, 1) => 0.0,
+                _ => ((i * 13) % 29) as f32 * 0.1 - 1.4,
+            })
+            .collect();
+        let x = Matrix::from_vec(rows, input_dim, xs);
+        let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-3 };
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut cases: Vec<_> = [Connectivity::Residual, Connectivity::DenselyConnected]
+            .into_iter()
+            .flat_map(|c| [26, 100, 113].map(|classes| (c, classes, false)))
+            .collect();
+        cases.push((Connectivity::Residual, 100, true));
+        for (connectivity, classes, poisoned) in cases {
+            let case = format!("{connectivity:?}, {classes} classes, poisoned {poisoned}");
+            let cfg = ModelConfig { input_dim, classes, width: 96, blocks: 2, connectivity };
+            let mut model = Mlp::new(&cfg, 11);
+            if poisoned {
+                let w = model.layers()[2].parts().0.data()[5 * 96 + 7];
+                model = nudged(&model, 2, 5 * 96 + 7, f32::INFINITY - w);
+                assert_eq!(model.layers()[2].parts().0.data()[5 * 96 + 7], f32::INFINITY);
+            }
+            let labels: Vec<u32> = (0..rows).map(|r| (r * 7 % classes) as u32).collect();
+            let targets = one_hot(&labels, classes);
+            let dense = connectivity == Connectivity::DenselyConnected;
+            let mut reference: Vec<RefLayer> = (model.layers().iter())
+                .map(|l| {
+                    let (w, b, vel_w, vel_b) = l.parts();
+                    let (b, vel_w, vel_b) = (b.to_vec(), vel_w.to_vec(), vel_b.to_vec());
+                    RefLayer { w: w.clone(), b, vel_w, vel_b }
+                })
+                .collect();
+            let mut scratch = StepScratch::default();
+            for step in 0..5 {
+                let loss = model.train_step(&x, &targets, &sgd, &mut scratch);
+                let want = reference_step(&mut reference, dense, &x, &targets, &sgd);
+                assert_eq!(loss.to_bits(), want.to_bits(), "{case}: loss of step {step}");
+                for (j, (layer, r)) in model.layers().iter().zip(&reference).enumerate() {
+                    let (w, b, vel_w, vel_b) = layer.parts();
+                    let at = format!("{case}: layer {j} after step {step}");
+                    assert_eq!(bits(w.data()), bits(r.w.data()), "{at}: W");
+                    assert_eq!(bits(b), bits(&r.b), "{at}: b");
+                    assert_eq!(bits(vel_w), bits(&r.vel_w), "{at}: vel_W");
+                    assert_eq!(bits(vel_b), bits(&r.vel_b), "{at}: vel_b");
+                }
+            }
+            let scan = model.scan(DataRef::new(x.data(), &labels, input_dim), None, Outputs::ALL);
+            let (acts, mut logits) = reference_forward(&reference, dense, &x);
+            let want_labels: Vec<u32> = (0..rows).map(|r| argmax(logits.row(r)) as u32).collect();
+            softmax_inplace(&mut logits);
+            assert_eq!(scan.labels, want_labels, "{case}: scan labels");
+            assert_eq!(bits(scan.proba.data()), bits(logits.data()), "{case}: scan confidences");
+            let features = acts[acts.len() - 1].data();
+            assert_eq!(bits(scan.features.data()), bits(features), "{case}: scan features");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::data::DataRef;
 use crate::init::seeded_rng;
 use crate::loss::{one_hot, softmax_cross_entropy};
 use crate::mixup::mixup_batch;
-use crate::model::Mlp;
+use crate::model::{Mlp, StepScratch};
 use crate::optimizer::SgdConfig;
 
 /// Trainer hyper-parameters.
@@ -94,6 +94,7 @@ impl Trainer {
         let classes = model.classes();
         let mut order: Vec<usize> = indices.to_vec();
         let mut sgd = self.config.sgd;
+        let mut scratch = StepScratch::default();
         for _epoch in 0..self.config.epochs {
             order.shuffle(&mut self.rng);
             let mut epoch_loss = 0.0;
@@ -109,7 +110,7 @@ impl Trainer {
                 } else {
                     (x, targets)
                 };
-                epoch_loss += model.train_step(&x, &targets, &sgd);
+                epoch_loss += model.train_step(&x, &targets, &sgd, &mut scratch);
                 batches += 1;
             }
             history.train_loss.push(epoch_loss / batches.max(1) as f32);
