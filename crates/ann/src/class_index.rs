@@ -5,12 +5,10 @@
 //! # Shard ownership and determinism
 //!
 //! Each class label owns one [`HnswShard`]. A build groups rows by label
-//! first, then runs **one task per shard** over `enld-par`; inside a
-//! shard every insert is sequential and every ordering decision is
-//! deterministic, so the resulting graphs — and all queries — are
-//! bit-identical at any thread count. Batched queries are
-//! read-only and parallelise over fixed-size query chunks exactly like
-//! the exact backend.
+//! first, then inserts each shard's rows in input order; every ordering
+//! decision is deterministic, so the resulting graphs — and all queries —
+//! are a function of the input alone. Batched queries answer in query
+//! order, like the exact backend.
 
 use std::collections::BTreeMap;
 
@@ -25,15 +23,6 @@ use crate::shard::{splitmix64, HnswShard, SearchStats, GOLDEN};
 const MAGIC: [u8; 8] = *b"ENLDANNX";
 /// Version of the [`AnnClassIndex::to_bytes`] layout.
 const FORMAT_VERSION: u32 = 2;
-
-/// Queries per parallel task in [`AnnClassIndex::k_nearest_in_class_batch`]
-/// (same chunking as the exact backend: a preset-scale selection round is
-/// one chunk, so it runs as a plain loop).
-const QUERY_BATCH: usize = 1024;
-
-/// One parallel insert task: the shard moved out of the map plus its
-/// `(global, row)` additions.
-type ShardWork = (u32, HnswShard, Vec<(usize, usize)>);
 
 /// Approximate per-class neighbour index.
 #[derive(Debug, Clone)]
@@ -71,10 +60,8 @@ impl AnnClassIndex {
 
     /// Adds a batch of rows to the index ([`AnnClassIndex::build`] is this
     /// call on an empty index): rows are grouped by label, then each
-    /// affected shard absorbs its rows sequentially while distinct shards
-    /// run in parallel. Row order within a label follows the input, so the
-    /// result is independent of the thread count *and* identical to
-    /// building over all the rows at once.
+    /// affected shard absorbs its rows in input order, so the result is
+    /// identical to building over all the rows at once.
     ///
     /// # Panics
     /// Panics on shape mismatch.
@@ -89,26 +76,14 @@ impl AnnClassIndex {
         for (row, &label) in labels.iter().enumerate() {
             grouped.entry(label).or_default().push((keep[row], row));
         }
-        // Move the affected shards out of the map so each parallel task
-        // owns its shard exclusively (fresh shards for unseen labels).
-        let mut work: Vec<ShardWork> = grouped
-            .into_iter()
-            .map(|(label, adds)| {
-                let shard = self.shards.remove(&label).unwrap_or_else(|| {
-                    HnswShard::new(dim, self.params, Self::shard_seed(&self.params, label))
-                });
-                (label, shard, adds)
-            })
-            .collect();
-        enld_par::par_chunks_mut(&mut work, 1, |_, _, block| {
-            for (_, shard, adds) in block {
-                for &(global, row) in adds.iter() {
-                    shard.insert(global, &features[row * dim..(row + 1) * dim]);
-                }
+        let params = self.params;
+        for (label, adds) in grouped {
+            let seed = Self::shard_seed(&params, label);
+            let shard =
+                self.shards.entry(label).or_insert_with(|| HnswShard::new(dim, params, seed));
+            for (global, row) in adds {
+                shard.insert(global, &features[row * dim..(row + 1) * dim]);
             }
-        });
-        for (label, shard, _) in work {
-            self.shards.insert(label, shard);
         }
         metrics::global().counter("enld.ann.inserts_total").add(labels.len() as u64);
     }
@@ -150,9 +125,8 @@ impl AnnClassIndex {
         hits
     }
 
-    /// Batched [`AnnClassIndex::k_nearest_in_class`], parallel over fixed
-    /// query chunks with results in query order (same contract as the
-    /// exact backend).
+    /// Batched [`AnnClassIndex::k_nearest_in_class`], with results in
+    /// query order (same contract as the exact backend).
     ///
     /// # Panics
     /// Panics when `queries.len() != labels.len() * dim`.
@@ -163,9 +137,8 @@ impl AnnClassIndex {
         k: usize,
     ) -> Vec<Vec<Neighbor>> {
         assert_eq!(queries.len(), labels.len() * self.dim, "query buffer shape mismatch");
-        enld_par::par_map(labels.len(), QUERY_BATCH, |i| {
-            self.k_nearest_in_class(labels[i], &queries[i * self.dim..(i + 1) * self.dim], k)
-        })
+        let queries = queries.chunks_exact(self.dim);
+        labels.iter().zip(queries).map(|(&l, q)| self.k_nearest_in_class(l, q, k)).collect()
     }
 
     /// Serialises the whole index as a sealed `enld_chaos::durable` frame
@@ -234,8 +207,7 @@ mod tests {
     fn batch_matches_single_queries_at_any_thread_count() {
         let (features, labels, keep) = random_instance(240, 8, 4, 2);
         let ann = AnnClassIndex::build(&features, 8, &labels, &keep, AnnParams::default());
-        // More queries than one QUERY_BATCH, so threads really share them.
-        let n_queries = QUERY_BATCH + 40;
+        let n_queries = 100;
         let q_labels = random_labels(n_queries, 5, 3);
         let queries = random_points(n_queries, 8, 33);
         let want: Vec<Vec<Neighbor>> = q_labels
@@ -243,12 +215,7 @@ mod tests {
             .enumerate()
             .map(|(i, &l)| ann.k_nearest_in_class(l, &queries[i * 8..(i + 1) * 8], 3))
             .collect();
-        for threads in [1, 4] {
-            let got = enld_par::with_threads(threads, || {
-                ann.k_nearest_in_class_batch(&q_labels, &queries, 3)
-            });
-            assert_eq!(got, want, "threads={threads}");
-        }
+        assert_eq!(ann.k_nearest_in_class_batch(&q_labels, &queries, 3), want);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   RNG and ef-bounded beam search;
 //! * [`class_index::AnnClassIndex`] — one shard per class behind the same
 //!   batched query as `enld_knn::ClassIndex` (it implements
-//!   [`enld_knn::NeighborIndex`]), with `enld-par`-sharded builds and
-//!   batched queries that are **bit-identical at any thread count**.
+//!   [`enld_knn::NeighborIndex`]).
 //!
 //! The `ann.insert` chaos failpoint covers the build, and the index
 //! reports `enld.ann.inserts_total`, `enld.ann.queries_total` and

@@ -1,12 +1,8 @@
 //! One HNSW proximity graph over the samples of a single class.
 //!
-//! The shard is the unit of ownership in the sharded index layout: every
-//! insert into a shard happens on exactly one thread (builds parallelise
-//! *across* shards, never within one), which is what keeps the graph —
-//! and therefore every query answered from it — bit-identical at any
-//! thread count.
-//!
-//! Determinism inside a shard comes from two rules:
+//! The shard is the unit of ownership in the sharded index layout. Its
+//! graph — and therefore every query answered from it — is a function of
+//! its inserts in order, by two rules:
 //!
 //! 1. node levels derive from a counter: the `n`-th insertion into a shard
 //!    always lands on the same level, because the level RNG is

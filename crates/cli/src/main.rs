@@ -20,7 +20,7 @@ const USAGE: &str = "\
 usage:
   enld generate --preset <name> [--noise R] [--noise-model NAME] [--drift R]
                 [--seed N] --out FILE
-  enld bench    --grid FILE [--out DIR]
+  enld bench    --grid FILE [--out DIR] [--threads N]
   enld repro    [EXPERIMENT...] [--quick|--exhaustive] [--seed N] [--out DIR]
   enld detect   --lake FILE [--out FILE] [--iterations N] [--k N] [--seed N] [--ledger FILE]
                 [--index exact|hnsw] [--checkpoint FILE [--resume]]
@@ -37,10 +37,7 @@ usage:
 
 every command also accepts:
   [--log-level quiet|error|warn|info|debug|trace] [--trace-out FILE] [--metrics-out FILE]
-  [--metrics-interval SECS] [--threads N]
-
---threads N sets the data-parallel thread budget (default: ENLD_THREADS or all
-cores; 1 = sequential). results are bit-identical for every thread count
+  [--metrics-interval SECS]
 
 --iterations N is the cap on t, Alg. 3's fine-grained iterations (default 5
 for lakes of up to 30 classes, else 17): a task stops earlier once 4
@@ -72,7 +69,9 @@ instance confusion longtail drift
 enld bench sweeps noise model x rate x preset x detector from a JSON grid
 file, scoring detection P/R/F1 and downstream accuracy-after-drop, and
 writes bench-grid.json plus a markdown ranking table under --out (default
-results/). results are bit-identical for every --threads setting.
+results/). --threads N runs up to N grid configurations at once (default:
+ENLD_THREADS or all cores; 1 = sequential); results are bit-identical for
+every setting.
 detectors: ENLD Default CL-1 CL-2 Topofilter
 
 enld repro regenerates the paper's tables and figures (default: all) into
@@ -118,7 +117,6 @@ const FLAGS: &[(&str, Takes, &[&str])] = &[
     ("trace-out", Value, &[]),
     ("metrics-out", Value, &[]),
     ("metrics-interval", Value, &[]),
-    ("threads", Value, &[]),
     ("preset", Value, &["generate"]),
     ("noise", Value, &["generate"]),
     ("noise-model", Value, &["generate"]),
@@ -126,6 +124,7 @@ const FLAGS: &[(&str, Takes, &[&str])] = &[
     ("seed", Value, &["generate", "repro", "detect", "serve"]),
     ("out", Value, &["generate", "bench", "repro", "detect", "serve"]),
     ("grid", Value, &["bench"]),
+    ("threads", Value, &["bench"]),
     ("quick", Switch, &["repro"]),
     ("exhaustive", Switch, &["repro"]),
     ("lake", Value, &["detect", "serve", "audit"]),
@@ -301,8 +300,8 @@ fn run() -> Result<(), String> {
     if armed > 0 {
         eprintln!("chaos: {armed} failpoint(s) armed from ENLD_FAILPOINTS");
     }
-    // Fix the thread budget before any parallel work: it is read once,
-    // on first use, and cannot be resized afterwards.
+    // Fix the grid's thread budget before it runs: it is read once, on
+    // first use, and cannot be resized afterwards.
     if let Some(threads) = args.parse_num::<usize>("threads")? {
         enld_par::set_threads(threads).map_err(|e| format!("--threads: {e}"))?;
     }

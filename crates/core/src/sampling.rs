@@ -116,10 +116,9 @@ pub struct ContrastSource<'a> {
 /// was drawn and which neighbours were chosen. Tracing never touches the
 /// RNG, so traced and untraced runs select identical samples.
 ///
-/// Internally this runs in two phases so it parallelises without changing
-/// a single output bit: candidate labels are drawn *sequentially* in sample
-/// order (the RNG stream is identical to the historical per-sample loop),
-/// then the pure k-NN queries run as one parallel batch and results are
+/// Internally this runs in phases: candidate labels are drawn first, in
+/// sample order (the RNG stream is identical to the historical per-sample
+/// loop), then the k-NN queries run as one batch and results are
 /// assembled back in sample order.
 pub fn contrastive_sampling(
     source: &ContrastSource<'_>,
@@ -141,7 +140,7 @@ pub fn contrastive_sampling(
             }
         })
         .collect();
-    // Phase 2 — parallel: gather the query rows and answer them as a batch.
+    // Phase 2: gather the query rows and answer them as one batch.
     let dim = query_feats.cols();
     let mut queries = Vec::with_capacity(ambiguous.len() * dim);
     for &a in ambiguous {

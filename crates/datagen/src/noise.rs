@@ -44,20 +44,10 @@ pub trait NoiseModel: Send + Sync {
     }
 }
 
-/// Corrupts an arrival stream in place: arrival `i` of `n` is corrupted
-/// at position `i / (n−1)` (a single arrival sits at position 0) with a
-/// distinct per-arrival seed decorrelated from `seed`.
-pub fn corrupt_stream(model: &dyn NoiseModel, arrivals: &mut [Dataset], seed: u64) {
-    let n = arrivals.len();
-    for (i, arrival) in arrivals.iter_mut().enumerate() {
-        let position = if n <= 1 { 0.0 } else { i as f64 / (n - 1) as f64 };
-        *arrival = model.corrupt_at(arrival, position, arrival_seed(seed, i));
-    }
-}
-
-/// The per-arrival corruption seed used by [`corrupt_stream`] and the
-/// zoo-aware lake builder: golden-ratio mixing keeps consecutive arrivals'
-/// RNG streams decorrelated.
+/// The per-arrival corruption seed of the zoo-aware lake builder
+/// (`DataLake::build_with_zoo`, which seeds the inventory as arrival 0):
+/// golden-ratio mixing keeps consecutive arrivals' RNG streams
+/// decorrelated.
 pub fn arrival_seed(seed: u64, arrival: usize) -> u64 {
     seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(arrival as u64 + 1))
 }
@@ -358,22 +348,6 @@ mod tests {
         let noisy = TransitionMatrix::pair_asymmetric(4, 1.0).corrupt(&d, 1);
         let masked_noisy = apply_missing_labels(&noisy, 1.0, 2);
         assert!(masked_noisy.noisy_indices().is_empty());
-    }
-
-    #[test]
-    fn corrupt_stream_positions_and_seeds() {
-        let d = toy(3, 40);
-        let model = TransitionMatrix::symmetric(3, 0.5);
-        let mut arrivals = vec![d.clone(), d.clone(), d.clone()];
-        corrupt_stream(&model, &mut arrivals, 7);
-        // Distinct per-arrival seeds: identical inputs corrupt differently.
-        assert_ne!(arrivals[0].labels(), arrivals[1].labels());
-        // And the whole stream is reproducible.
-        let mut again = vec![d.clone(), d.clone(), d];
-        corrupt_stream(&model, &mut again, 7);
-        for (a, b) in arrivals.iter().zip(&again) {
-            assert_eq!(a.labels(), b.labels());
-        }
     }
 
     #[test]

@@ -69,9 +69,7 @@ impl ClassIndex {
     }
 
     /// Batched [`Self::k_nearest_in_class`]: answers query `i` (row `i` of
-    /// the flat `queries` buffer) against class `labels[i]`. Queries are
-    /// answered in parallel over fixed-size batches; the result order (and
-    /// every neighbour set) is identical to a sequential loop.
+    /// the flat `queries` buffer) against class `labels[i]`, in query order.
     ///
     /// # Panics
     /// Panics when `queries.len() != labels.len() * dim`.
@@ -82,9 +80,8 @@ impl ClassIndex {
         k: usize,
     ) -> Vec<Vec<Neighbor>> {
         assert_eq!(queries.len(), labels.len() * self.dim, "query buffer shape mismatch");
-        enld_par::par_map(labels.len(), QUERY_BATCH, |i| {
-            self.k_nearest_in_class(labels[i], &queries[i * self.dim..(i + 1) * self.dim], k)
-        })
+        let queries = queries.chunks_exact(self.dim);
+        labels.iter().zip(queries).map(|(&l, q)| self.k_nearest_in_class(l, q, k)).collect()
     }
 }
 
@@ -98,11 +95,6 @@ impl NeighborIndex for ClassIndex {
         ClassIndex::k_nearest_in_class_batch(self, labels, queries, k)
     }
 }
-
-/// Queries per parallel task in [`ClassIndex::k_nearest_in_class_batch`]:
-/// a query is a few microseconds, so a selection round at preset scale
-/// (a few hundred ambiguous samples) stays one chunk — a plain loop.
-const QUERY_BATCH: usize = 1024;
 
 #[cfg(test)]
 mod tests {
@@ -151,18 +143,14 @@ mod tests {
     #[test]
     fn batch_queries_match_single_queries() {
         let idx = sample_index();
-        // Mix of present and absent classes, in arbitrary order, repeated
-        // past one QUERY_BATCH so several threads really share the batch.
-        let labels = [0u32, 1, 0, 7].repeat(QUERY_BATCH / 2);
-        let queries = [0.0f32, 0.0, 0.0, 0.0, 10.0, 10.0, 1.0, 1.0].repeat(QUERY_BATCH / 2);
-        for threads in [1, 4] {
-            let batch = enld_par::with_threads(threads, || {
-                idx.k_nearest_in_class_batch(&labels, &queries, 2)
-            });
-            for (i, got) in batch.iter().enumerate() {
-                let want = idx.k_nearest_in_class(labels[i], &queries[i * 2..(i + 1) * 2], 2);
-                assert_eq!(got, &want, "query {i} threads={threads}");
-            }
+        // Mix of present and absent classes, in arbitrary order.
+        let labels = [0u32, 1, 0, 7].repeat(3);
+        let queries = [0.0f32, 0.0, 0.0, 0.0, 10.0, 10.0, 1.0, 1.0].repeat(3);
+        let batch = idx.k_nearest_in_class_batch(&labels, &queries, 2);
+        assert_eq!(batch.len(), labels.len());
+        for (i, got) in batch.iter().enumerate() {
+            let want = idx.k_nearest_in_class(labels[i], &queries[i * 2..(i + 1) * 2], 2);
+            assert_eq!(got, &want, "query {i}");
         }
     }
 

@@ -19,8 +19,7 @@ pub trait NeighborIndex: Send + Sync {
     /// the global sample indices supplied at build time, sorted ascending
     /// by `(dist_sq, index)`, and empty when the class is absent.
     /// Implementations answer exactly as a sequential loop of single
-    /// queries would, at any thread count (the workspace-wide
-    /// bit-identical determinism contract).
+    /// queries would.
     fn k_nearest_in_class_batch(
         &self,
         labels: &[u32],

@@ -42,9 +42,10 @@
 //! non-finite right entry would make the term NaN, so the rule never
 //! takes the row body then. Both bodies are therefore bit-identical to
 //! the scalar reference for every input, NaN and `±∞` included, and for
-//! every tile size. The products are sequential leaf kernels: callers
-//! that want threads split *rows* above them (`model::for_each_chunk`),
-//! which the contract makes invisible in the bits.
+//! every tile size. The products are sequential kernels on their
+//! caller's thread; inference splits *rows* above them
+//! (`model::for_each_chunk`), which the contract makes invisible in the
+//! bits.
 //!
 //! **Vector width**: the product body (`gemm_body`, both bodies, the
 //! epilogue and the rule's scans) is compiled twice from one source —

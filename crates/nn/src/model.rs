@@ -275,15 +275,8 @@ impl Mlp {
     /// Inference: the `(features, logits)` of the forward pass — the
     /// penultimate activation is the last one it wrote.
     pub fn forward_inference(&self, x: &Matrix) -> (Matrix, Matrix) {
-        self.infer(x, &self.weights_finite())
-    }
-
-    /// [`Mlp::forward_inference`] with the finiteness of the weights
-    /// already known; its buffers are its own, so chunks of one scan can
-    /// run it on different threads.
-    fn infer(&self, x: &Matrix, w_finite: &[bool]) -> (Matrix, Matrix) {
         let mut pass = Pass::default();
-        self.forward(x, w_finite, pass.with_slots(4), inference_slot);
+        self.forward(x, &self.weights_finite(), pass.with_slots(4), inference_slot);
         let features = take(&mut pass.acts[inference_slot(self.layers.len() - 2)]);
         (features, pass.logits)
     }
@@ -292,6 +285,7 @@ impl Mlp {
     /// (every row in order when `None`; any order, repeats allowed), keeping
     /// the outputs `keep` asks for. Row `r` of every output belongs to the
     /// `r`-th scanned row, and equals that row of a full scan bit for bit.
+    /// Every chunk's forward pass reuses one set of buffers.
     pub fn scan(&self, data: DataRef<'_>, rows: Option<&[usize]>, keep: Outputs) -> Scan {
         let n = rows.map_or(data.len(), <[usize]>::len);
         let kept = |on: bool, cols: usize| Matrix::zeros(if on { n } else { 0 }, cols);
@@ -301,27 +295,27 @@ impl Mlp {
             features: kept(keep.features, self.config.width),
         };
         let w_finite = self.weights_finite();
-        for_each_chunk(
-            data,
-            rows,
-            |batch| self.infer(batch, &w_finite),
-            |start, (feats, mut logits)| {
+        let mut pass = Pass::default();
+        pass.with_slots(4);
+        let feats_slot = inference_slot(self.layers.len() - 2);
+        for_each_chunk(data, rows, |start, batch| {
+            self.forward(batch, &w_finite, &mut pass, inference_slot);
+            let (feats, logits) = (&pass.acts[feats_slot], &mut pass.logits);
+            for r in 0..logits.rows() {
+                if keep.labels {
+                    out.labels[start + r] = argmax(logits.row(r)) as u32;
+                }
+                if keep.features {
+                    out.features.row_mut(start + r).copy_from_slice(feats.row(r));
+                }
+            }
+            if keep.proba {
+                softmax_inplace(logits);
                 for r in 0..logits.rows() {
-                    if keep.labels {
-                        out.labels[start + r] = argmax(logits.row(r)) as u32;
-                    }
-                    if keep.features {
-                        out.features.row_mut(start + r).copy_from_slice(feats.row(r));
-                    }
+                    out.proba.row_mut(start + r).copy_from_slice(logits.row(r));
                 }
-                if keep.proba {
-                    softmax_inplace(&mut logits);
-                    for r in 0..logits.rows() {
-                        out.proba.row_mut(start + r).copy_from_slice(logits.row(r));
-                    }
-                }
-            },
-        );
+            }
+        });
         out
     }
 
@@ -387,31 +381,24 @@ pub struct Scan {
     pub features: Matrix,
 }
 
-/// The one place inference is split: runs `forward` (a model's
-/// `forward_inference`) over `INFERENCE_BATCH`-row chunks of the rows of
-/// `data` named by `rows` (all of them, in order, when `None`) in parallel,
-/// gathering each chunk straight from the list, then hands each
-/// `(features, logits)` pair and the list position of its first row to `f`
-/// sequentially, in chunk order. Chunk boundaries depend only on the number
-/// of rows and rows are independent, so the result is the whole-batch
-/// forward pass bit for bit at every thread count.
+/// The one place inference is split: gathers the rows of `data` named by
+/// `rows` (all of them, in order, when `None`) `INFERENCE_BATCH` at a time
+/// and hands each chunk, with the list position of its first row, to `f`
+/// before gathering the next. Rows are independent, so a forward pass per
+/// chunk is the whole-batch forward pass bit for bit.
 pub(crate) fn for_each_chunk(
     data: DataRef<'_>,
     rows: Option<&[usize]>,
-    forward: impl Fn(&Matrix) -> (Matrix, Matrix) + Sync,
-    mut f: impl FnMut(usize, (Matrix, Matrix)),
+    mut f: impl FnMut(usize, &Matrix),
 ) {
     let n = rows.map_or(data.len(), <[usize]>::len);
-    let results = enld_par::par_map(n.div_ceil(INFERENCE_BATCH), 1, |ci| {
-        let chunk = ci * INFERENCE_BATCH..((ci + 1) * INFERENCE_BATCH).min(n);
+    for start in (0..n).step_by(INFERENCE_BATCH) {
+        let chunk = start..(start + INFERENCE_BATCH).min(n);
         let batch = match rows {
             Some(rows) => data.gather(&rows[chunk]),
             None => data.gather(&chunk.collect::<Vec<_>>()),
         };
-        forward(&batch)
-    });
-    for (ci, result) in results.into_iter().enumerate() {
-        f(ci * INFERENCE_BATCH, result);
+        f(start, &batch);
     }
 }
 
@@ -584,8 +571,8 @@ mod tests {
     #[test]
     fn chunked_inference_matches_one_batch_at_every_thread_count() {
         // Two full chunks and a ragged third, so `for_each_chunk` really
-        // splits: rows are independent, so neither the split nor the
-        // thread count may move a bit.
+        // splits and the reused buffers shrink: rows are independent, so
+        // the split may not move a bit.
         let cfg = ArchPreset::resnet110_sim().config(4, 3);
         let model = Mlp::new(&cfg, 8);
         let n = 2 * INFERENCE_BATCH + 37;
@@ -596,15 +583,13 @@ mod tests {
         let (want_feats, mut want_probs) = model.forward_inference(&data.gather(&all));
         let want_labels: Vec<u32> = (0..n).map(|r| argmax(want_probs.row(r)) as u32).collect();
         softmax_inplace(&mut want_probs);
-        for threads in [1, 2, 8] {
-            let scan = enld_par::with_threads(threads, || model.scan(data, None, Outputs::ALL));
-            assert_eq!(scan.labels, want_labels, "scan labels threads={threads}");
-            assert_eq!(scan.proba.data(), want_probs.data(), "scan probs threads={threads}");
-            assert_eq!(scan.features.data(), want_feats.data(), "scan feats threads={threads}");
-            let (probs, feats) = enld_par::with_threads(threads, || model.proba_and_features(data));
-            assert_eq!(probs.data(), want_probs.data(), "probs threads={threads}");
-            assert_eq!(feats.data(), want_feats.data(), "feats threads={threads}");
-        }
+        let scan = model.scan(data, None, Outputs::ALL);
+        assert_eq!(scan.labels, want_labels, "scan labels");
+        assert_eq!(scan.proba.data(), want_probs.data(), "scan probs");
+        assert_eq!(scan.features.data(), want_feats.data(), "scan feats");
+        let (probs, feats) = model.proba_and_features(data);
+        assert_eq!(probs.data(), want_probs.data(), "probs");
+        assert_eq!(feats.data(), want_feats.data(), "feats");
         // Each delegate is the matching output of the one pass.
         assert_eq!(model.predict_labels(data), want_labels);
         assert_eq!(model.predict_proba(data).data(), want_probs.data());
@@ -625,15 +610,12 @@ mod tests {
         let mut rows: Vec<usize> = (0..INFERENCE_BATCH + 50).map(|i| (i * 211) % n).collect();
         rows.extend([n - 1, 3, n - 1, 3, 0]);
         let full = model.scan(data, None, Outputs::ALL);
-        for threads in [1, 2] {
-            let part =
-                enld_par::with_threads(threads, || model.scan(data, Some(&rows), Outputs::ALL));
-            assert_eq!(part.labels.len(), rows.len());
-            for (r, &i) in rows.iter().enumerate() {
-                assert_eq!(part.labels[r], full.labels[i], "label of row {i}");
-                assert_eq!(part.proba.row(r), full.proba.row(i), "proba of row {i}");
-                assert_eq!(part.features.row(r), full.features.row(i), "features of row {i}");
-            }
+        let part = model.scan(data, Some(&rows), Outputs::ALL);
+        assert_eq!(part.labels.len(), rows.len());
+        for (r, &i) in rows.iter().enumerate() {
+            assert_eq!(part.labels[r], full.labels[i], "label of row {i}");
+            assert_eq!(part.proba.row(r), full.proba.row(i), "proba of row {i}");
+            assert_eq!(part.features.row(r), full.features.row(i), "features of row {i}");
         }
         let none = model.scan(data, Some(&[]), Outputs::ALL);
         assert_eq!((none.labels.len(), none.proba.rows(), none.features.rows()), (0, 0, 0));

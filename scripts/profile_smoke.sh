@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Trace/profile smoke test — the causal-tracing acceptance flow:
-#   enld detect --trace-out spans.jsonl --threads 4
+#   enld detect --trace-out spans.jsonl
 #   enld profile spans.jsonl --chrome trace.json --folded stacks.folded
 # asserts (a) the span file is one connected tree per trace rooted at
 # enld.detect, (b) the Chrome export is valid trace-event JSON, and
@@ -19,7 +19,7 @@ trap cleanup EXIT
   --out "$SMOKE_DIR/lake.json" >/dev/null
 
 ./target/release/enld detect --lake "$SMOKE_DIR/lake.json" --iterations 2 \
-  --threads 4 --log-level warn --trace-out "$SMOKE_DIR/spans.jsonl" >/dev/null
+  --log-level warn --trace-out "$SMOKE_DIR/spans.jsonl" >/dev/null
 
 if ! grep -q '"name":"enld.detect"' "$SMOKE_DIR/spans.jsonl"; then
   echo "trace file has no enld.detect span:"

