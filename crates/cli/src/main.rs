@@ -37,7 +37,6 @@ usage:
 
 every command also accepts:
   [--log-level quiet|error|warn|info|debug|trace] [--trace-out FILE] [--metrics-out FILE]
-  [--metrics-interval SECS]
 
 --iterations N is the cap on t, Alg. 3's fine-grained iterations (default 5
 for lakes of up to 30 classes, else 17): a task stops earlier once 4
@@ -52,9 +51,9 @@ detect and serve run a streaming monitor: drift metrics feed alert rules of
 kind threshold, burn-rate, cusum or page-hinkley (built-in defaults, or
 --alert-rules FILE: a JSON array of rule objects such as
 [{\"name\":\"drift\",\"metric\":\"enld.drift.ambiguous_rate\",\"kind\":\"cusum\",\"h\":5}];
-see DESIGN.md section 12). rules on sampled metrics such as process.open_fds
-run only when a --metrics-out snapshot is written (every --metrics-interval
-and at exit). firing alerts mark /healthz \"degraded\";
+see DESIGN.md section 12; a rule's metric must be one of the observed series
+enld.drift.ambiguous_rate, enld.drift.p_staleness, enld.drift.p_row_divergence
+or serve.job.sojourn_secs). firing alerts mark /healthz \"degraded\";
 --healthz-strict turns that into HTTP 503. `enld monitor --ledger` re-derives
 the alert state from a run's audit ledger offline
 
@@ -116,7 +115,6 @@ const FLAGS: &[(&str, Takes, &[&str])] = &[
     ("log-level", Value, &[]),
     ("trace-out", Value, &[]),
     ("metrics-out", Value, &[]),
-    ("metrics-interval", Value, &[]),
     ("preset", Value, &["generate"]),
     ("noise", Value, &["generate"]),
     ("noise-model", Value, &["generate"]),
@@ -314,7 +312,6 @@ fn run() -> Result<(), String> {
         },
         trace_out: args.get("trace-out").map(PathBuf::from),
         metrics_out: args.get("metrics-out").map(PathBuf::from),
-        metrics_interval: args.parse_num("metrics-interval")?,
     };
     // The handle's Drop flushes sinks and writes the final snapshot on
     // *every* exit path, including usage errors below.

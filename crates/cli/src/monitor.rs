@@ -16,8 +16,8 @@ use enld_telemetry::alerts::{AlertEngine, AlertRule};
 use crate::explain::load_ledger;
 use crate::CliError;
 
-/// The two drift series a ledger can reconstruct (the other monitored
-/// series — sojourns, process gauges — are runtime-only).
+/// The two drift series a ledger can reconstruct (the other observed
+/// series, `P̃` staleness and job sojourns, feed only the live monitor).
 const AMBIGUOUS_SERIES: &str = "enld.drift.ambiguous_rate";
 const DIVERGENCE_SERIES: &str = "enld.drift.p_row_divergence";
 

@@ -265,10 +265,8 @@ impl Enld {
         baseline: &[u32],
     ) -> Mlp {
         let epochs = self.config.warmup_epochs;
-        let mut span = telemetry::debug_span("enld.detect.warmup")
-            .timed("enld.detect.warmup_secs")
-            .field("epochs", epochs)
-            .entered();
+        let mut span =
+            telemetry::debug_span("enld.detect.warmup").field("epochs", epochs).entered();
         let labels = ctx.d.labels();
         // With no observed label there is nothing to validate on: every
         // snapshot scores 0, and no epoch scans.
@@ -342,10 +340,8 @@ impl Enld {
         iteration: usize,
     ) {
         enld_chaos::fail_point("detector.iteration");
-        let mut span = telemetry::debug_span("enld.detect.iteration")
-            .timed("enld.detect.iteration_secs")
-            .field("iteration", iteration)
-            .entered();
+        let mut span =
+            telemetry::debug_span("enld.detect.iteration").field("iteration", iteration).entered();
         if let Some(trace) = task.trace.as_mut() {
             for votes in &mut trace.votes {
                 votes.push(vec![false; self.config.steps]);
@@ -378,7 +374,6 @@ impl Enld {
             }));
         }
 
-        metrics().counter("enld.detect.vote_flips_total").add(flips);
         span.record("ambiguous", task.ambiguous.len());
         span.record("flips", flips);
         span.record("contrast", task.contrast.len());
@@ -544,10 +539,6 @@ impl Enld {
         // Wall-clock only; a resumed run counts post-resume time, so
         // byte-identity comparisons must exclude this field.
         let process_secs = sw.elapsed().as_secs_f64();
-        let m = metrics();
-        m.counter("enld.detect.clean_total").add(clean.len() as u64);
-        m.counter("enld.detect.noisy_total").add(noisy.len() as u64);
-        m.histogram("enld.detect.process_secs").record(process_secs);
         detect_span.record("clean", clean.len());
         detect_span.record("noisy", noisy.len());
         detect_span.record("iterations", iterations);

@@ -21,7 +21,6 @@ use enld_nn::matrix::Matrix;
 use enld_nn::model::{argmax, Mlp};
 use enld_nn::trainer::Trainer;
 use enld_telemetry as telemetry;
-use enld_telemetry::metrics::global as metrics;
 
 use crate::checkpoint;
 use crate::config::EnldConfig;
@@ -96,23 +95,18 @@ impl Enld {
         let model_cfg = config.arch.config(inventory.dim(), inventory.classes());
         let mut model = Mlp::new(&model_cfg, config.seed);
         {
-            let _s = telemetry::debug_span("enld.setup.train_general")
-                .timed("enld.setup.train_general_secs")
-                .entered();
+            let _s = telemetry::debug_span("enld.setup.train_general").entered();
             let mut trainer = Trainer::new(config.init_train, config.seed.wrapping_add(1));
             let i_t_view = DataRef::new(i_t.xs(), i_t.labels(), i_t.dim());
             trainer.fit(&mut model, i_t_view, None);
         }
 
         let (cond, hq) = {
-            let _s = telemetry::debug_span("enld.setup.estimate")
-                .timed("enld.setup.estimate_secs")
-                .entered();
+            let _s = telemetry::debug_span("enld.setup.estimate").entered();
             estimate_on_candidates(&model, &i_c)
         };
 
         let setup_secs = sw.elapsed().as_secs_f64();
-        metrics().histogram("enld.setup_secs").record(setup_secs);
         setup_span.record("high_quality", hq.len());
         setup_span.record("secs", setup_secs);
 

@@ -38,7 +38,6 @@ impl Enld {
     ) {
         let cfg = &self.config;
         let mut span = telemetry::debug_span("enld.detect.contrastive")
-            .timed("enld.sampling.select_secs")
             .field("ambiguous", task.ambiguous.len())
             .entered();
         let mut rng = sampling_rng(ctx.task_seed, (round + 1) as u64);

@@ -21,11 +21,7 @@ impl Enld {
             return 0;
         }
         enld_chaos::fail_point("detector.update_model");
-        let _span = telemetry::span("enld.update_model")
-            .timed("enld.update_model_secs")
-            .field("clean", clean.len())
-            .entered();
-        metrics().counter("enld.updates_total").inc();
+        let _span = telemetry::span("enld.update_model").field("clean", clean.len()).entered();
         let train_set = self.i_c.subset(&clean);
         self.updates += 1;
         let seed = self.config.seed.wrapping_add(5000 + self.updates as u64);

@@ -146,16 +146,7 @@ pub fn contrastive_sampling(
     for &a in ambiguous {
         queries.extend_from_slice(query_feats.row(a));
     }
-    let query_start = std::time::Instant::now();
     let all_hits = source.index.k_nearest_in_class_batch(&candidates, &queries, source.k);
-    // Batched timing: the histogram holds the mean batch latency once per
-    // query, so its count/sum still track query volume and wall-clock.
-    if !ambiguous.is_empty() {
-        let n = ambiguous.len() as u64;
-        enld_telemetry::metrics::global()
-            .histogram("knn.class_query_secs")
-            .record_n(query_start.elapsed().as_secs_f64() / n as f64, n);
-    }
     // Phase 3 — sequential assembly in sample order.
     let mut out = Vec::with_capacity(ambiguous.len() * source.k);
     for ((&a, &observed), (&j, hits)) in
@@ -385,21 +376,6 @@ mod tests {
         let src = source(&index, &ic_labels, &cond, 3, false);
         let c = contrastive_sampling(&src, &[], &[], &query, &mut rng, None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn class_query_histogram_counts_queries_not_batches() {
-        let (index, ic_labels, _) = fixture();
-        let cond = cond_identity();
-        let query = Matrix::from_vec(3, 2, vec![0.1, 0.0, 9.0, 0.0, 0.2, 0.0]);
-        let hist = enld_telemetry::metrics::global().histogram("knn.class_query_secs");
-        // Other tests in this process query too, so compare deltas rather
-        // than absolute values.
-        let h0 = hist.count();
-        let src = source(&index, &ic_labels, &cond, 1, true);
-        let mut rng = StdRng::seed_from_u64(4);
-        let _ = contrastive_sampling(&src, &[0, 1, 2], &[0, 1, 0], &query, &mut rng, None);
-        assert!(hist.count() - h0 >= 3);
     }
 
     fn probs() -> Matrix {

@@ -211,7 +211,7 @@ impl Dataset {
     }
 
     /// Re-assigns globally unique ids starting at `base` (used by the lake
-    /// catalog when registering freshly generated data).
+    /// to number every sample it holds).
     pub fn reassign_ids(&mut self, base: u64) {
         for (k, id) in self.ids.iter_mut().enumerate() {
             *id = base + k as u64;

@@ -4,8 +4,8 @@
 //! (§V-A1/§V-A2): generate the corpus from a preset, corrupt labels with
 //! pair-asymmetric noise at rate `η` (both inventory *and* incremental
 //! data are noisy), split 2:1 into inventory and incremental pool, and
-//! partition the pool into unbalanced incremental datasets, registering
-//! everything in the catalog.
+//! partition the pool into unbalanced incremental datasets, numbering
+//! every dataset and every sample.
 
 use std::collections::VecDeque;
 
@@ -14,7 +14,6 @@ use enld_datagen::presets::DatasetPreset;
 use enld_datagen::split::{inventory_incremental, partition_incremental};
 use enld_datagen::{Dataset, NoiseModel, TransitionMatrix};
 
-use crate::catalog::{Catalog, DatasetKind};
 use crate::request::DetectionRequest;
 
 /// Everything needed to stand up a lake for one experiment run.
@@ -29,7 +28,6 @@ pub struct LakeConfig {
 
 /// The platform state for one run.
 pub struct DataLake {
-    catalog: Catalog,
     inventory: Dataset,
     queue: VecDeque<DetectionRequest>,
     config: LakeConfig,
@@ -91,18 +89,17 @@ impl DataLake {
         Self::assemble(config, inventory, parts, missing_rate)
     }
 
+    /// Numbers the datasets in order — the inventory is dataset 0 and
+    /// arrival `i` is dataset `i + 1` — and gives their samples
+    /// consecutive ids, so every sample id is unique across the lake.
     fn assemble(
         config: &LakeConfig,
         mut inventory: Dataset,
         parts: Vec<Dataset>,
         missing_rate: f32,
     ) -> Self {
-        let catalog = Catalog::new();
-        catalog.register(
-            &mut inventory,
-            &format!("{}/inventory", config.preset.name),
-            DatasetKind::Inventory,
-        );
+        inventory.reassign_ids(0);
+        let mut next_sample_id = inventory.len() as u64;
         let mut queue = VecDeque::with_capacity(parts.len());
         for (i, part) in parts.into_iter().enumerate() {
             let mut part = if missing_rate > 0.0 {
@@ -110,27 +107,15 @@ impl DataLake {
             } else {
                 part
             };
-            let id = catalog.register(
-                &mut part,
-                &format!("{}/incremental-{i}", config.preset.name),
-                DatasetKind::Incremental,
-            );
-            let entry = catalog.get(id).expect("just registered");
-            queue.push_back(DetectionRequest {
-                dataset_id: id,
-                arrival: entry.arrival,
-                data: part,
-            });
+            part.reassign_ids(next_sample_id);
+            next_sample_id += part.len() as u64;
+            queue.push_back(DetectionRequest { dataset_id: i as u64 + 1, data: part });
         }
-        Self { catalog, inventory, queue, config: *config }
+        Self { inventory, queue, config: *config }
     }
 
     pub fn config(&self) -> &LakeConfig {
         &self.config
-    }
-
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     /// The (noisy-labelled) inventory `I`.
@@ -167,8 +152,9 @@ mod tests {
         let lake = DataLake::build(&config());
         let preset = config().preset;
         assert_eq!(lake.pending_requests(), preset.incremental.subsets);
-        // Catalog: 1 inventory + subsets incremental.
-        assert_eq!(lake.catalog().len(), 1 + preset.incremental.subsets);
+        // Datasets are numbered in arrival order after the inventory (0).
+        let ids: Vec<u64> = lake.peek_requests().map(|r| r.dataset_id).collect();
+        assert_eq!(ids, (1..=preset.incremental.subsets as u64).collect::<Vec<_>>());
         // 2:1 split.
         let total = preset.classes * preset.samples_per_class;
         assert_eq!(lake.inventory().len(), total * 2 / 3);
@@ -181,7 +167,7 @@ mod tests {
         let mut lake = DataLake::build(&config());
         let first = lake.next_request().expect("non-empty");
         let second = lake.next_request().expect("non-empty");
-        assert!(first.arrival < second.arrival);
+        assert!(first.dataset_id < second.dataset_id);
         // Noise rate is roughly η across the whole pool.
         let mut noisy = first.data.noisy_indices().len() + second.data.noisy_indices().len();
         let mut n = first.data.len() + second.data.len();

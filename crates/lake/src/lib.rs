@@ -4,13 +4,11 @@
 //! receives *incremental* datasets with noisy-label-detection requests
 //! (paper §I, Fig. 1). This crate models that platform:
 //!
-//! * [`catalog::Catalog`] — thread-safe registry of datasets with stable
-//!   ids and logical arrival timestamps;
 //! * [`lake::DataLake`] — the inventory plus an ordered arrival queue of
-//!   incremental datasets, built from an `enld-datagen` preset;
-//! * [`request::DetectionRequest`]/[`request::DetectionResponse`] — the
-//!   unit of work a detection service consumes and produces (the service
-//!   itself is `enld_serve::WorkerPool`).
+//!   incremental datasets, built from an `enld-datagen` preset, with
+//!   every dataset numbered and every sample id unique across the lake;
+//! * [`request::DetectionRequest`] — the unit of work a detection service
+//!   consumes (the service itself is `enld_serve::WorkerPool`).
 //!
 //! # Example
 //!
@@ -26,10 +24,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod catalog;
 pub mod lake;
 pub mod request;
 
-pub use catalog::{Catalog, DatasetKind};
 pub use lake::{DataLake, LakeConfig};
-pub use request::{DetectionRequest, DetectionResponse};
+pub use request::DetectionRequest;

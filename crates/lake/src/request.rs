@@ -1,96 +1,14 @@
-//! Detection request/response types — the unit of work flowing between the
-//! platform's arrival queue and a detection service.
+//! The detection request — the unit of work flowing from the platform's
+//! arrival queue to a detection service.
 
 use enld_datagen::Dataset;
 
 /// A noisy-label-detection request for one incremental dataset.
 #[derive(Debug, Clone)]
 pub struct DetectionRequest {
-    /// Catalog id of the incremental dataset.
+    /// The dataset's number in the lake: the inventory is 0, so arrival
+    /// `i` (from 0) is `i + 1`.
     pub dataset_id: u64,
-    /// Logical arrival order.
-    pub arrival: u64,
     /// The incremental dataset `D_i` (observed labels, possibly missing).
     pub data: Dataset,
-}
-
-/// The platform-facing result of serving one request.
-#[derive(Debug, Clone)]
-pub struct DetectionResponse {
-    pub dataset_id: u64,
-    /// Indices into the request's dataset judged clean (`S`).
-    pub clean: Vec<usize>,
-    /// Indices judged noisy (`N`); disjoint from `clean`, jointly covering
-    /// every non-missing sample.
-    pub noisy: Vec<usize>,
-    /// Pseudo-labels for missing-label samples (index, assigned label);
-    /// empty unless the request contained missing labels.
-    pub pseudo_labels: Vec<(usize, u32)>,
-    /// Wall-clock process time in seconds.
-    pub process_secs: f64,
-}
-
-impl DetectionResponse {
-    /// Checks the clean/noisy bipartition covers `0..n` exactly once,
-    /// minus `missing` samples (which get pseudo-labels instead).
-    pub fn is_valid_partition(&self, n: usize, missing: &[bool]) -> bool {
-        let mut seen = vec![false; n];
-        for &i in self.clean.iter().chain(&self.noisy) {
-            if i >= n || seen[i] {
-                return false;
-            }
-            seen[i] = true;
-        }
-        for (i, &s) in seen.iter().enumerate() {
-            let is_missing = missing.get(i).copied().unwrap_or(false);
-            if s == is_missing {
-                // Labelled sample missing from the partition, or a
-                // missing-label sample wrongly included.
-                return false;
-            }
-        }
-        true
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn resp(clean: Vec<usize>, noisy: Vec<usize>) -> DetectionResponse {
-        DetectionResponse { dataset_id: 0, clean, noisy, pseudo_labels: vec![], process_secs: 0.0 }
-    }
-
-    #[test]
-    fn valid_partition() {
-        let r = resp(vec![0, 2], vec![1, 3]);
-        assert!(r.is_valid_partition(4, &[false; 4]));
-    }
-
-    #[test]
-    fn overlapping_partition_is_invalid() {
-        let r = resp(vec![0, 1], vec![1, 2]);
-        assert!(!r.is_valid_partition(3, &[false; 3]));
-    }
-
-    #[test]
-    fn incomplete_partition_is_invalid() {
-        let r = resp(vec![0], vec![2]);
-        assert!(!r.is_valid_partition(3, &[false; 3]));
-    }
-
-    #[test]
-    fn missing_samples_are_excluded() {
-        let r = resp(vec![0], vec![2]);
-        assert!(r.is_valid_partition(3, &[false, true, false]));
-        // …but including a missing sample is invalid.
-        let r2 = resp(vec![0, 1], vec![2]);
-        assert!(!r2.is_valid_partition(3, &[false, true, false]));
-    }
-
-    #[test]
-    fn out_of_range_is_invalid() {
-        let r = resp(vec![0, 5], vec![1]);
-        assert!(!r.is_valid_partition(3, &[false; 3]));
-    }
 }

@@ -390,8 +390,6 @@ impl<P: Send + 'static, R: Send + 'static> WorkerPool<P, R> {
             return Err(SubmitError::ShutDown(spec));
         }
         if state.queue.len() >= self.shared.queue_limit {
-            drop(state);
-            registry.counter("serve.pool.rejected_total").inc();
             return Err(SubmitError::Rejected(spec));
         }
         // Capture the submitter's span context only when a debug-level
@@ -555,7 +553,6 @@ fn worker_loop<P, R, D>(
 {
     let registry = telemetry::metrics::global();
     let depth = registry.gauge("serve.queue.depth");
-    let wait_hist = registry.histogram("serve.queue.wait_secs");
     let service_hist = registry.histogram(&format!("serve.worker.{worker_id}.service_secs"));
     let _alive = AliveGuard(&shared.stats.workers[worker_id].alive);
     loop {
@@ -580,7 +577,6 @@ fn worker_loop<P, R, D>(
         // job unaccounted for. The chaos suite asserts exactly that.
         enld_chaos::fail_point("serve.job.pickup");
         let wait_secs = job.submitted_at.elapsed().as_secs_f64();
-        wait_hist.record(wait_secs);
         let ctx = job.ctx;
         let spec = job.spec;
         let mut span = telemetry::debug_span("serve.pool.job")
@@ -615,7 +611,6 @@ fn worker_loop<P, R, D>(
             Err(payload) => {
                 // The detector's state may be inconsistent now, but the
                 // scheduler's is not; keep the worker serving.
-                registry.counter("serve.pool.panics_total").inc();
                 let panic_msg = panic_message(payload.as_ref());
                 // Mark the span so the span file shows which job failed.
                 span.record("error", panic_msg.as_str());

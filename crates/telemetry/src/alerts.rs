@@ -105,17 +105,24 @@ pub struct AlertRule {
 ///   Alg. 4 model updates, under Page–Hinkley.
 /// * `serve-sojourn-slo` — at most 10% of the last 16 jobs may spend
 ///   more than 30 s queued and served.
-/// * `process-fd-leak` — fd leaks show up long before the process hits
-///   its rlimit.
 pub const DEFAULT_RULES: &str = r#"[
   {"name": "drift-ambiguous-rate", "metric": "enld.drift.ambiguous_rate", "kind": "cusum"},
   {"name": "drift-p-row-divergence", "metric": "enld.drift.p_row_divergence",
    "kind": "page-hinkley"},
   {"name": "serve-sojourn-slo", "metric": "serve.job.sojourn_secs", "kind": "burn-rate",
-   "objective": 30, "hold": 2, "resolve": 4},
-  {"name": "process-fd-leak", "metric": "process.open_fds", "kind": "threshold",
-   "op": "gt", "value": 8192, "hold": 3}
+   "objective": 30, "hold": 2, "resolve": 4}
 ]"#;
+
+/// The series fed straight to the monitor
+/// ([`crate::monitor::Monitor::observe`]): the only metrics a rule may
+/// watch. Nothing samples the registry into the engine, so a rule on any
+/// other name would never see an observation.
+pub const OBSERVED_SERIES: [&str; 4] = [
+    "enld.drift.ambiguous_rate",
+    "enld.drift.p_staleness",
+    "enld.drift.p_row_divergence",
+    "serve.job.sojourn_secs",
+];
 
 /// [`DEFAULT_RULES`], read.
 pub fn default_rules() -> Vec<AlertRule> {
@@ -137,7 +144,8 @@ const NON_NEGATIVE: Range = (" >= 0", |x| x >= 0.0);
 /// [{"name": "drift", "metric": "enld.drift.ambiguous_rate", "kind": "cusum", "h": 5.0}]
 /// ```
 ///
-/// Every rule has `name`, `metric` and `kind`, and may set `hold`
+/// Every rule has `name`, `metric` (one of [`OBSERVED_SERIES`]) and
+/// `kind`, and may set `hold`
 /// (default 1) and `resolve` (default 3). Each kind adds its own keys:
 ///
 /// * `threshold`: `op` (`gt`, `ge`, `lt` or `le`) and `value`;
@@ -153,7 +161,7 @@ const NON_NEGATIVE: Range = (" >= 0", |x| x >= 0.0);
 /// # Errors
 /// `malformed JSON: …` when the text does not parse; otherwise a message
 /// naming the rule and the key at fault: missing, unknown to the kind, of
-/// the wrong type, or out of range.
+/// the wrong type, or out of range, or a metric that is not observed.
 pub fn rules_from_json(text: &str) -> Result<Vec<AlertRule>, String> {
     let doc = parse_json(text).map_err(|e| format!("malformed JSON: {e}"))?;
     let items = doc.as_array().ok_or("expected a JSON array of rule objects")?;
@@ -209,9 +217,14 @@ fn rule_from_json(i: usize, v: &JsonValue) -> Result<AlertRule, String> {
     if let Some((key, _)) = fields.iter().find(|(k, _)| !known(k)) {
         return Err(r.fail(key, &format!("is not a key of a {} rule", kind.kind_name())));
     }
+    let metric = r.text("metric")?;
+    if !OBSERVED_SERIES.contains(&metric) {
+        let series = OBSERVED_SERIES.join(", ");
+        return Err(r.fail("metric", &format!("'{metric}' is not an observed series ({series})")));
+    }
     Ok(AlertRule {
         name: name.to_owned(),
-        metric: r.text("metric")?.to_owned(),
+        metric: metric.to_owned(),
         kind,
         hold: r.count("hold", 1)?,
         resolve: r.count("resolve", 3)?,
@@ -523,25 +536,22 @@ mod tests {
     #[test]
     fn reader_applies_the_documented_defaults_to_every_kind() {
         let text = r#"[
-            {"name": "t", "metric": "m", "kind": "threshold", "op": "le", "value": 2},
-            {"name": "b", "metric": "m", "kind": "burn-rate", "objective": 0.5},
-            {"name": "c", "metric": "m", "kind": "cusum"},
-            {"name": "p", "metric": "m", "kind": "page-hinkley"}
+            {"name": "t", "metric": "enld.drift.p_staleness", "kind": "threshold", "op": "le",
+             "value": 2},
+            {"name": "b", "metric": "enld.drift.p_staleness", "kind": "burn-rate",
+             "objective": 0.5},
+            {"name": "c", "metric": "enld.drift.p_staleness", "kind": "cusum"},
+            {"name": "p", "metric": "enld.drift.p_staleness", "kind": "page-hinkley"}
         ]"#;
         let threshold = RuleKind::Threshold { op: Comparison::Le, value: 2.0 };
+        let m = "enld.drift.p_staleness";
         assert_eq!(
             rules_from_json(text),
             Ok(vec![
-                rule("t", "m", threshold, 1, 3),
-                rule(
-                    "b",
-                    "m",
-                    RuleKind::BurnRate { objective: 0.5, budget: 0.1, window: 16 },
-                    1,
-                    3
-                ),
-                rule("c", "m", RuleKind::Cusum(Cusum::new(2, 0.5, 4.0, 0.05)), 1, 3),
-                rule("p", "m", RuleKind::PageHinkley(PageHinkley::new(2, 0.01, 0.25)), 1, 3),
+                rule("t", m, threshold, 1, 3),
+                rule("b", m, RuleKind::BurnRate { objective: 0.5, budget: 0.1, window: 16 }, 1, 3),
+                rule("c", m, RuleKind::Cusum(Cusum::new(2, 0.5, 4.0, 0.05)), 1, 3),
+                rule("p", m, RuleKind::PageHinkley(PageHinkley::new(2, 0.01, 0.25)), 1, 3),
             ])
         );
     }
@@ -549,29 +559,41 @@ mod tests {
     #[test]
     fn reader_takes_every_key_of_every_kind() {
         let text = r#"[
-            {"name": "t", "metric": "a", "kind": "threshold", "op": "ge", "value": -1.5,
-             "hold": 4, "resolve": 5},
-            {"name": "b", "metric": "b", "kind": "burn-rate", "objective": 0.5, "budget": 0.05,
-             "window": 32},
-            {"name": "c", "metric": "c", "kind": "cusum", "warmup": 3, "k": 0.4, "h": 5.0,
-             "min_sigma": 0.02},
-            {"name": "p", "metric": "d", "kind": "page-hinkley", "warmup": 1, "delta": 0,
-             "lambda": 0.3}
+            {"name": "t", "metric": "enld.drift.ambiguous_rate", "kind": "threshold", "op": "ge",
+             "value": -1.5, "hold": 4, "resolve": 5},
+            {"name": "b", "metric": "serve.job.sojourn_secs", "kind": "burn-rate",
+             "objective": 0.5, "budget": 0.05, "window": 32},
+            {"name": "c", "metric": "enld.drift.p_staleness", "kind": "cusum", "warmup": 3,
+             "k": 0.4, "h": 5.0, "min_sigma": 0.02},
+            {"name": "p", "metric": "enld.drift.p_row_divergence", "kind": "page-hinkley",
+             "warmup": 1, "delta": 0, "lambda": 0.3}
         ]"#;
         let threshold = RuleKind::Threshold { op: Comparison::Ge, value: -1.5 };
         assert_eq!(
             rules_from_json(text),
             Ok(vec![
-                rule("t", "a", threshold, 4, 5),
+                rule("t", "enld.drift.ambiguous_rate", threshold, 4, 5),
                 rule(
                     "b",
-                    "b",
+                    "serve.job.sojourn_secs",
                     RuleKind::BurnRate { objective: 0.5, budget: 0.05, window: 32 },
                     1,
                     3
                 ),
-                rule("c", "c", RuleKind::Cusum(Cusum::new(3, 0.4, 5.0, 0.02)), 1, 3),
-                rule("p", "d", RuleKind::PageHinkley(PageHinkley::new(1, 0.0, 0.3)), 1, 3),
+                rule(
+                    "c",
+                    "enld.drift.p_staleness",
+                    RuleKind::Cusum(Cusum::new(3, 0.4, 5.0, 0.02)),
+                    1,
+                    3
+                ),
+                rule(
+                    "p",
+                    "enld.drift.p_row_divergence",
+                    RuleKind::PageHinkley(PageHinkley::new(1, 0.0, 0.3)),
+                    1,
+                    3
+                ),
             ])
         );
     }
@@ -579,7 +601,6 @@ mod tests {
     #[test]
     fn default_rules_keep_their_parameters() {
         let burn = RuleKind::BurnRate { objective: 30.0, budget: 0.1, window: 16 };
-        let fds = RuleKind::Threshold { op: Comparison::Gt, value: 8192.0 };
         assert_eq!(
             default_rules(),
             vec![
@@ -598,14 +619,14 @@ mod tests {
                     3
                 ),
                 rule("serve-sojourn-slo", "serve.job.sojourn_secs", burn, 2, 4),
-                rule("process-fd-leak", "process.open_fds", fds, 3, 3),
             ]
         );
     }
 
     /// The reader's error for one rule object, `{"name": "x", …}` plus `body`.
     fn rule_error(body: &str) -> String {
-        rules_from_json(&format!(r#"[{{"name": "x", "metric": "m", {body}}}]"#)).expect_err(body)
+        let rule = format!(r#"[{{"name": "x", "metric": "enld.drift.ambiguous_rate", {body}}}]"#);
+        rules_from_json(&rule).expect_err(body)
     }
 
     #[test]
@@ -642,6 +663,11 @@ mod tests {
         }
         let err = rules_from_json(r#"[{"name": "x", "kind": "cusum"}]"#).unwrap_err();
         assert_eq!(err, "rule 'x', \"metric\": is missing");
+        // A sampled gauge is no observed series: no rule on it could fire.
+        let depth = r#"[{"name": "x", "metric": "serve.queue.depth", "kind": "cusum"}]"#;
+        let err = rules_from_json(depth).unwrap_err();
+        assert!(err.starts_with("rule 'x', \"metric\": 'serve.queue.depth' is not"), "{err}");
+        assert!(OBSERVED_SERIES.iter().all(|series| err.contains(series)), "{err}");
     }
 
     #[test]
@@ -662,7 +688,8 @@ mod tests {
             assert!(err.starts_with(&format!("rule 'x', \"{key}\": must be ")), "{body}: {err}");
         }
         // JSON has no NaN: the token and the word are both refused.
-        let nan = r#"[{"name": "x", "metric": "m", "kind": "page-hinkley", "lambda": NaN}]"#;
+        let nan = r#"[{"name": "x", "metric": "enld.drift.p_staleness", "kind": "page-hinkley",
+            "lambda": NaN}]"#;
         assert!(rules_from_json(nan).unwrap_err().starts_with("malformed JSON: "));
         let err = rule_error(r#""kind": "page-hinkley", "lambda": "nan""#);
         assert_eq!(err, "rule 'x', \"lambda\": must be a number");

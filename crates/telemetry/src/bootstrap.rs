@@ -1,18 +1,15 @@
 //! One-call wiring for binaries: a level-filtered stderr sink, an
 //! optional JSON-lines trace file, and an optional metrics snapshot
-//! written periodically and on shutdown. The `repro` harness and the
-//! `enld` CLI parse `--log-level` / `--trace-out` / `--metrics-out` /
-//! `--metrics-interval` into a [`TelemetryConfig`], call
-//! [`TelemetryConfig::install`] to get a [`Telemetry`] handle, and call
-//! [`Telemetry::finish`] (or rely on its `Drop`) when the run ends —
+//! written once, when the run ends. The `enld` CLI parses `--log-level` /
+//! `--trace-out` / `--metrics-out` into a [`TelemetryConfig`], calls
+//! [`TelemetryConfig::install`] to get a [`Telemetry`] handle, and calls
+//! [`Telemetry::finish`] (or relies on its `Drop`) when the run ends —
 //! including error paths, so trace files are never left truncated
 //! mid-record.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
 
 use crate::level::Level;
 use crate::metrics;
@@ -26,24 +23,20 @@ pub struct TelemetryConfig {
     /// Where to write the JSON-lines trace (always at [`Level::Trace`]);
     /// `None` disables the file sink.
     pub trace_out: Option<PathBuf>,
-    /// Where to write the metrics snapshot; `None` skips it.
+    /// Where to write the metrics snapshot at exit; `None` skips it. The
+    /// write goes to a `.tmp` sibling first and is renamed into place, so
+    /// readers never observe a half-written snapshot.
     pub metrics_out: Option<PathBuf>,
-    /// Seconds between periodic snapshots of `metrics_out` while the
-    /// process runs; `None` writes only at [`Telemetry::finish`]. Each
-    /// write goes to a `.tmp` sibling first and is renamed into place,
-    /// so readers never observe a half-written snapshot.
-    pub metrics_interval: Option<u64>,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        Self { log_level: Level::Info, trace_out: None, metrics_out: None, metrics_interval: None }
+        Self { log_level: Level::Info, trace_out: None, metrics_out: None }
     }
 }
 
 impl TelemetryConfig {
-    /// Installs the configured sinks and starts the periodic snapshot
-    /// writer when `metrics_out` + `metrics_interval` are both set.
+    /// Installs the configured sinks.
     ///
     /// # Errors
     /// Fails when the trace file cannot be created.
@@ -52,105 +45,40 @@ impl TelemetryConfig {
         if let Some(path) = &self.trace_out {
             install(Arc::new(JsonlSink::create(path, Level::Trace)?));
         }
-        let writer = match (&self.metrics_out, self.metrics_interval) {
-            (Some(path), Some(secs)) if secs > 0 => Some(SnapshotWriter::spawn(path.clone(), secs)),
-            _ => None,
-        };
-        Ok(Telemetry { config: self.clone(), writer, finished: false })
+        Ok(Telemetry { metrics_out: self.metrics_out.clone() })
     }
 }
 
 /// Writes the global metrics snapshot to `path` with
 /// `enld_chaos::durable::write_atomic` (failpoints
 /// `telemetry.snapshot.write` / `.rename`).
-///
-/// # Errors
-/// Fails when the temporary file cannot be written or renamed.
-pub fn write_snapshot_atomic(path: &Path) -> io::Result<()> {
-    // Fold the current process resource usage into the snapshot so both
-    // the periodic files and the final one carry RSS/CPU/thread gauges.
+fn write_snapshot_atomic(path: &Path) -> io::Result<()> {
+    // Fold the current resident set size into the snapshot.
     crate::procinfo::sample(metrics::global());
-    // The snapshot cadence doubles as the monitor's sampling tick: alert
-    // rules fold every registry metric not claimed by a direct feed. It
-    // is the only tick; a `/metrics` scrape samples procfs but not rules.
-    crate::monitor::global().tick(metrics::global())?;
     let snapshot = metrics::global().snapshot_json();
     enld_chaos::durable::write_atomic(path, snapshot.as_bytes(), "telemetry.snapshot")
 }
 
-/// Background thread snapshotting the global registry on a fixed cadence.
-struct SnapshotWriter {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: JoinHandle<()>,
-}
-
-impl SnapshotWriter {
-    fn spawn(path: PathBuf, interval_secs: u64) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let shared = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("enld-metrics-writer".to_owned())
-            .spawn(move || {
-                let (lock, cv) = &*shared;
-                let mut stopped = lock.lock().expect("snapshot writer lock");
-                loop {
-                    let (guard, timeout) = cv
-                        .wait_timeout(stopped, Duration::from_secs(interval_secs))
-                        .expect("snapshot writer wait");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        let _ = write_snapshot_atomic(&path);
-                    }
-                }
-            })
-            .expect("spawn metrics snapshot writer");
-        Self { stop, handle }
-    }
-
-    fn stop(self) {
-        {
-            let (lock, cv) = &*self.stop;
-            *lock.lock().expect("snapshot writer lock") = true;
-            cv.notify_all();
-        }
-        let _ = self.handle.join();
-    }
-}
-
-/// Live handle returned by [`TelemetryConfig::install`]. Owns the
-/// periodic snapshot writer; [`Telemetry::finish`] (idempotent, also run
-/// on `Drop`) stops it, flushes every sink, and writes the final
-/// snapshot.
+/// Live handle returned by [`TelemetryConfig::install`];
+/// [`Telemetry::finish`] (idempotent, also run on `Drop`) flushes every
+/// sink and writes the snapshot.
 pub struct Telemetry {
-    config: TelemetryConfig,
-    writer: Option<SnapshotWriter>,
-    finished: bool,
+    /// The snapshot still to write; taken by the first [`Telemetry::finish`].
+    metrics_out: Option<PathBuf>,
 }
 
 impl Telemetry {
-    /// Stops the periodic writer, flushes every sink, and writes the
-    /// final metrics snapshot when configured. Returns the snapshot path
-    /// if one was written; subsequent calls only flush and return `None`.
+    /// Flushes every sink and writes the metrics snapshot when
+    /// configured. Returns the snapshot path if one was written;
+    /// subsequent calls only flush and return `None`.
     ///
     /// # Errors
     /// Fails when the snapshot file cannot be written.
     pub fn finish(&mut self) -> io::Result<Option<PathBuf>> {
-        if let Some(writer) = self.writer.take() {
-            writer.stop();
-        }
         flush();
-        if self.finished {
-            return Ok(None);
-        }
-        self.finished = true;
-        if let Some(path) = &self.config.metrics_out {
-            write_snapshot_atomic(path)?;
-            return Ok(Some(path.clone()));
-        }
-        Ok(None)
+        let Some(path) = self.metrics_out.take() else { return Ok(None) };
+        write_snapshot_atomic(&path)?;
+        Ok(Some(path))
     }
 }
 
@@ -172,13 +100,11 @@ mod tests {
         assert_eq!(cfg.log_level, Level::Info);
         assert!(cfg.trace_out.is_none());
         assert!(cfg.metrics_out.is_none());
-        assert!(cfg.metrics_interval.is_none());
     }
 
     #[test]
     fn finish_without_metrics_path_writes_nothing() {
-        let mut telemetry =
-            Telemetry { config: TelemetryConfig::default(), writer: None, finished: false };
+        let mut telemetry = Telemetry { metrics_out: None };
         assert!(telemetry.finish().expect("flush only").is_none());
     }
 
@@ -187,8 +113,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("enld-bootstrap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("metrics.json");
-        let cfg = TelemetryConfig { metrics_out: Some(path.clone()), ..Default::default() };
-        let mut telemetry = Telemetry { config: cfg, writer: None, finished: false };
+        let mut telemetry = Telemetry { metrics_out: Some(path.clone()) };
         let written = telemetry.finish().expect("snapshot").expect("path");
         assert_eq!(written, path);
         assert!(path.exists());
@@ -219,23 +144,6 @@ mod tests {
         }
         write_snapshot_atomic(&path).expect("clean write succeeds");
         assert!(path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn periodic_writer_produces_snapshots() {
-        let dir = std::env::temp_dir().join(format!("enld-writer-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("periodic.json");
-        let writer = SnapshotWriter::spawn(path.clone(), 1);
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while !path.exists() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        writer.stop();
-        assert!(path.exists(), "periodic snapshot written within the deadline");
-        let body = std::fs::read_to_string(&path).expect("read snapshot");
-        assert!(body.starts_with("{\"counters\":"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

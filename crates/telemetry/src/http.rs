@@ -4,7 +4,7 @@
 //! endpoints from a small thread-per-connection loop:
 //!
 //! * `/metrics` — Prometheus text exposition of a [`MetricsRegistry`]
-//!   (process resource gauges are refreshed from procfs per scrape)
+//!   (`process.rss_bytes` is refreshed from procfs per scrape)
 //! * `/metrics.json` — the registry's `snapshot_json`
 //! * `/healthz` — liveness/queue JSON from an [`ObsStatus`] provider
 //!   (HTTP 503 when the provider reports unhealthy), stamped with the

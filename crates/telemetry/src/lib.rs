@@ -16,17 +16,17 @@
 //!   snapshotted as JSON. A process-wide registry lives at
 //!   [`metrics::global`].
 //!
-//! A span built with [`SpanBuilder::timed`] also records its lifetime
-//! into a named histogram, so one guard feeds both outputs.
+//! Spans are the only phase timer: a phase's duration is its span's, so
+//! no histogram times the same region again.
 //!
 //! Each operator question has one path through them. *Why was this
 //! arrival slow*: `--trace-out FILE` writes every span, and [`profile`]
 //! (behind `enld profile`) finds the hot sites and the critical path of
 //! the slowest trace, with [`chrome_trace::render`] for Perfetto. *How
-//! much should I trust this verdict*: the [`Monitor`] folds drift
-//! observations into alert rules, [`ObsServer`] serves their state at
-//! `/alerts` next to `/metrics`, and `enld monitor --ledger` re-derives it
-//! from the audit ledger.
+//! much should I trust this verdict*: the [`Monitor`] folds the drift and
+//! sojourn observations, and nothing else, into alert rules,
+//! [`ObsServer`] serves their state at `/alerts` next to `/metrics`, and
+//! `enld monitor --ledger` re-derives it from the audit ledger.
 //!
 //! The crate is deliberately dependency-free (std only): disabled
 //! telemetry costs one relaxed atomic load per span and nothing per

@@ -2,56 +2,41 @@
 //! engine, and the rest of the process.
 //!
 //! A process-wide [`Monitor`] lives at [`global()`], mirroring
-//! [`crate::metrics::global`]. Producers feed it from two directions:
+//! [`crate::metrics::global`]. Producers feed it direct observations
+//! ([`Monitor::observe`]) at their natural cadence: one drift record per
+//! arrival or model update from the detector, one sojourn sample per
+//! served job from the worker pool. These four series
+//! ([`crate::alerts::OBSERVED_SERIES`]) are the only ones a rule can
+//! watch; nothing samples the metrics registry into the engine, so alert
+//! state is a function of the observation sequence alone.
 //!
-//! * **Direct observations** ([`Monitor::observe`]) — event-driven
-//!   values pushed at their natural cadence: one drift record per
-//!   arrival from the detector, one sojourn sample per served job from
-//!   the worker pool. A series' first finite direct observation claims
-//!   it, so the periodic sampler never double-counts it: re-sampling a
-//!   last-write-wins gauge every few seconds would repeat one event at
-//!   snapshot cadence and bias any change-point statistic running on it.
-//! * **Periodic ticks** ([`Monitor::tick`]) — the snapshot writer calls
-//!   this once per interval to sample every unclaimed registry metric
-//!   (process gauges, queue depths, …). Only a metrics snapshot ticks
-//!   (`--metrics-out`: every `--metrics-interval` and once at exit); a
-//!   `/metrics` scrape does not, so a plain `serve` never evaluates rules
-//!   on sampled metrics.
-//!
-//! Rules are opt-in: until [`Monitor::install_rules`] runs, both paths
-//! only track claims and the alert engine never executes. Once armed,
-//! every point either path yields is folded into the engine as it
-//! arrives; points from before the install are not. The CLI installs
+//! Rules are opt-in: until [`Monitor::install_rules`] runs, observations
+//! are dropped and the alert engine never executes. Once armed, each
+//! observation is folded into the engine as it arrives; those from
+//! before the install are not. The CLI installs
 //! [`crate::alerts::default_rules`] (or a `--alert-rules FILE` document)
 //! for `detect`/`serve` runs before any detector work. The per-arrival
 //! history lives in the audit ledger (`enld monitor --ledger` replays
-//! it), and the sampled history in whatever stores the `/metrics`
-//! scrapes.
+//! it).
 //!
-//! Chaos failpoints: `monitor.snapshot` (io-error at the top of
-//! [`Monitor::tick`], surfaced through the snapshot writer like the
-//! `telemetry.snapshot.*` points) and `monitor.alert_emit` (hit once per
-//! firing/resolved transition, so a crash mid-emit can be injected and
-//! the ledger-replay recovery path proven equivalent).
+//! Chaos failpoint: `monitor.alert_emit` (hit once per firing/resolved
+//! transition, so a crash mid-emit can be injected and the ledger-replay
+//! recovery path proven equivalent).
 
-use std::collections::{BTreeSet, VecDeque};
-use std::io;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::alerts::{AlertEngine, AlertRule, AlertTransition};
 use crate::json::JsonObject;
-use crate::metrics::{self, MetricsRegistry};
+use crate::metrics;
 
 /// How many recent firing/resolved edges `/alerts` keeps for display.
 const RECENT_TRANSITIONS: usize = 64;
 
 pub struct Monitor {
     start: Instant,
-    /// Series claimed by a finite direct observation; [`Monitor::tick`]
-    /// skips them.
-    claimed: Mutex<BTreeSet<String>>,
     engine: Mutex<AlertEngine>,
     /// The rules the engine was built from, kept so [`reset`] can
     /// rebuild a fresh engine (chaos tests simulate process restarts
@@ -73,7 +58,6 @@ impl Monitor {
     pub fn new() -> Self {
         Self {
             start: Instant::now(),
-            claimed: Mutex::new(BTreeSet::new()),
             engine: Mutex::new(AlertEngine::new(Vec::new())),
             rules: Mutex::new(Vec::new()),
             armed: AtomicBool::new(false),
@@ -109,67 +93,15 @@ impl Monitor {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Claims `metric` for the direct feed when `value` is finite.
-    fn claim(&self, metric: &str, value: f64) {
-        let mut claimed = relock(&self.claimed);
-        if value.is_finite() && !claimed.contains(metric) {
-            claimed.insert(metric.to_owned());
-        }
-    }
-
-    /// Records one event-driven observation and, when armed, folds it
-    /// into the alert engine at once — alert state is a function of the
-    /// observation sequence, never of evaluation cadence.
+    /// Folds one event-driven observation into the alert engine at once
+    /// when armed, and drops it otherwise — alert state is a function of
+    /// the observation sequence, never of evaluation cadence.
     pub fn observe(&self, metric: &str, value: f64) {
         if !self.armed() {
-            self.claim(metric, value);
             return;
         }
-        // Claiming under the engine lock orders the claim against a
-        // concurrent tick's fold.
-        let mut engine = relock(&self.engine);
-        self.claim(metric, value);
-        let transitions = engine.observe(metric, value);
-        drop(engine);
+        let transitions = relock(&self.engine).observe(metric, value);
         self.emit(transitions);
-    }
-
-    /// Periodic sampling hook, called by the snapshot writer: when armed,
-    /// folds every counter and gauge, plus the `count`/`mean`/`p95` of
-    /// every histogram, into the alert engine (which ignores non-finite
-    /// values), skipping series claimed by direct observation.
-    ///
-    /// # Errors
-    /// Only the `monitor.snapshot` chaos failpoint produces one.
-    pub fn tick(&self, reg: &MetricsRegistry) -> io::Result<()> {
-        enld_chaos::fail_point_io("monitor.snapshot")?;
-        if !self.armed() {
-            return Ok(());
-        }
-        let mut engine = relock(&self.engine);
-        let claimed = relock(&self.claimed);
-        let mut transitions = Vec::new();
-        let mut fold = |metric: &str, value: f64| {
-            if !claimed.contains(metric) {
-                transitions.extend(engine.observe(metric, value));
-            }
-        };
-        for (name, v) in reg.counters() {
-            fold(&name, v as f64);
-        }
-        for (name, v) in reg.gauges() {
-            fold(&name, v);
-        }
-        for (name, h) in reg.histograms() {
-            let s = h.summary();
-            fold(&format!("{name}.count"), s.count as f64);
-            fold(&format!("{name}.mean"), s.mean);
-            fold(&format!("{name}.p95"), s.p95);
-        }
-        drop(claimed);
-        drop(engine);
-        self.emit(transitions);
-        Ok(())
     }
 
     fn emit(&self, transitions: Vec<AlertTransition>) {
@@ -190,7 +122,6 @@ impl Monitor {
                     t.value
                 );
             } else {
-                g.counter("enld.alerts.resolved_total").inc();
                 crate::tinfo!(
                     "monitor",
                     "alert resolved: {} ({} @ obs {})",
@@ -249,11 +180,10 @@ impl Monitor {
         format!("{body},{}", &extra[1..])
     }
 
-    /// Drops every claim, transition, and engine state, rebuilding the
+    /// Drops every transition and all engine state, rebuilding the
     /// engine from the installed rules. Used by tests that simulate a
     /// process restart without actually restarting.
     pub fn reset(&self) {
-        relock(&self.claimed).clear();
         let rules = relock(&self.rules).clone();
         *relock(&self.engine) = AlertEngine::new(rules);
         relock(&self.recent).clear();
@@ -277,15 +207,10 @@ pub fn global() -> &'static Monitor {
 mod tests {
     use super::*;
     use crate::alerts::{Comparison, RuleKind};
-    use crate::changepoint::{Cusum, PageHinkley};
-
-    fn rule(metric: &str, kind: RuleKind, hold: usize) -> AlertRule {
-        let name = format!("{}-{metric}", kind.kind_name());
-        AlertRule { name, metric: metric.to_owned(), kind, hold, resolve: 2 }
-    }
 
     fn hot_rule() -> AlertRule {
-        rule("m", RuleKind::Threshold { op: Comparison::Gt, value: 1.0 }, 2)
+        let kind = RuleKind::Threshold { op: Comparison::Gt, value: 1.0 };
+        AlertRule { name: "hot".to_owned(), metric: "m".to_owned(), kind, hold: 2, resolve: 2 }
     }
 
     #[test]
@@ -318,34 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn tick_folds_sampled_points_unless_a_direct_feed_claimed_the_series() {
-        let m = Monitor::new();
-        m.install_rules(vec![hot_rule()]);
-        let reg = MetricsRegistry::new();
-        reg.gauge("m").set(2.0);
-        m.tick(&reg).expect("tick");
-        m.tick(&reg).expect("tick");
-        assert_eq!(m.firing(), 1, "two sampled breaches fire a hold-2 rule");
-        m.observe("m", 0.1);
-        m.tick(&reg).expect("tick");
-        m.tick(&reg).expect("tick");
-        assert_eq!(m.firing(), 1, "the claimed series ignores the sampler");
-        assert!(m.engine_json().contains("\"observations\":3"), "{}", m.engine_json());
-    }
-
-    #[test]
-    fn a_non_finite_direct_observation_does_not_claim_its_series() {
-        let m = Monitor::new();
-        m.install_rules(vec![hot_rule()]);
-        m.observe("m", f64::NAN);
-        let reg = MetricsRegistry::new();
-        reg.gauge("m").set(2.0);
-        m.tick(&reg).expect("tick");
-        m.tick(&reg).expect("tick");
-        assert_eq!(m.firing(), 1, "the sampler still feeds an unclaimed series");
-    }
-
-    #[test]
     fn reset_rebuilds_a_clean_engine_with_the_same_rules() {
         let m = Monitor::new();
         m.install_rules(vec![hot_rule()]);
@@ -356,95 +253,8 @@ mod tests {
         assert_eq!(m.firing(), 0);
         assert_eq!(m.rule_count(), 1, "rules survive reset");
         assert!(m.armed());
-        // Nor do claims: the sampler feeds the series again.
-        let reg = MetricsRegistry::new();
-        reg.gauge("m").set(2.0);
-        m.tick(&reg).expect("tick");
-        m.tick(&reg).expect("tick");
-        assert_eq!(m.firing(), 1);
-    }
-
-    /// splitmix64, so the property below needs no RNG dependency.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    #[test]
-    fn alert_state_is_the_same_fed_one_observation_at_a_time_or_by_tick() {
-        const SERIES: [&str; 3] = ["a", "b", "c"];
-        // Every kind, and two rules on one series.
-        let rules = vec![
-            rule("a", RuleKind::Threshold { op: Comparison::Ge, value: 0.6 }, 2),
-            rule("a", RuleKind::PageHinkley(PageHinkley::new(2, 0.01, 0.25)), 1),
-            rule("b", RuleKind::BurnRate { objective: 0.6, budget: 0.25, window: 4 }, 1),
-            rule("c", RuleKind::Cusum(Cusum::new(2, 0.5, 2.0, 0.05)), 1),
-        ];
-        let mut fired = 0;
-        for case in 0..1_000 {
-            let mut rng = SplitMix(case);
-            // Rounds of one value per series; each series hops between a
-            // low and a high level, with jitter.
-            let mut levels = [0.2; 3];
-            let rounds: Vec<[f64; 3]> = (0..1 + rng.below(40))
-                .map(|_| {
-                    std::array::from_fn(|s| {
-                        if rng.below(6) == 0 {
-                            levels[s] = 1.1 - levels[s];
-                        }
-                        levels[s] + rng.below(1_000) as f64 * 1e-4
-                    })
-                })
-                .collect();
-
-            // One observation at a time, the series interleaved at random.
-            let direct = Monitor::new();
-            direct.install_rules(rules.clone());
-            let mut next = [0; 3];
-            for _ in 0..3 * rounds.len() {
-                let left: Vec<usize> = (0..3).filter(|&s| next[s] < rounds.len()).collect();
-                let s = left[rng.below(left.len() as u64) as usize];
-                direct.observe(SERIES[s], rounds[next[s]][s]);
-                next[s] += 1;
-            }
-
-            // One round per sampling tick.
-            let sampled = Monitor::new();
-            sampled.install_rules(rules.clone());
-            let reg = MetricsRegistry::new();
-            for round in &rounds {
-                for (name, value) in SERIES.iter().zip(round) {
-                    reg.gauge(name).set(*value);
-                }
-                sampled.tick(&reg).expect("tick");
-            }
-
-            let json = direct.engine_json();
-            assert_eq!(json, sampled.engine_json(), "case {case}");
-            fired += usize::from(json.matches("\"fired_total\":0").count() < rules.len());
-        }
-        assert!(fired > 500, "only {fired} of 1000 streams fired a rule");
-    }
-
-    #[test]
-    #[ignore = "arms process-global failpoints; run serially via the chaos job"]
-    fn monitor_snapshot_failpoint_surfaces_as_io_error() {
-        let _guard = enld_chaos::scenario_with("monitor.snapshot=error@nth:1");
-        let m = Monitor::new();
-        let reg = MetricsRegistry::new();
-        let err = m.tick(&reg).expect_err("armed failpoint must error");
-        assert!(err.to_string().contains("monitor.snapshot"), "{err}");
-        m.tick(&reg).expect("nth:1 only fails once");
+        m.observe("m", 2.0);
+        m.observe("m", 2.0);
+        assert_eq!(m.firing(), 1, "the rebuilt engine fires again");
     }
 }

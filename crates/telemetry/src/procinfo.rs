@@ -1,99 +1,41 @@
-//! Process resource gauges sourced from `/proc/self`.
+//! The process's resident set size, sourced from `/proc/self/statm`.
 //!
-//! [`sample`] refreshes six gauges — `process.rss_bytes`,
-//! `process.cpu.user_secs`, `process.cpu.sys_secs`, `process.threads`,
-//! `process.uptime_secs`, `process.open_fds` — in a [`MetricsRegistry`],
-//! so metrics snapshots and the `/metrics` exposition carry memory, CPU,
-//! age, and fd pressure alongside pipeline metrics. The fd count exists
-//! specifically so alert rules can watch for descriptor leaks long
-//! before the rlimit bites. Reading `/proc` keeps the crate
-//! dependency-free; on platforms without procfs the sampler is a
-//! graceful no-op (the gauges simply never appear).
+//! [`sample`] refreshes the `process.rss_bytes` gauge in a
+//! [`MetricsRegistry`], so the metrics snapshot and the `/metrics`
+//! exposition carry memory alongside pipeline metrics. Reading `/proc`
+//! keeps the crate dependency-free; on platforms without procfs the
+//! sampler is a graceful no-op (the gauge simply never appears).
 
 use crate::metrics::MetricsRegistry;
 
-/// A point-in-time reading of the current process's resource usage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProcStats {
-    /// Resident set size in bytes.
-    pub rss_bytes: u64,
-    /// CPU seconds spent in user mode since process start.
-    pub user_secs: f64,
-    /// CPU seconds spent in kernel mode since process start.
-    pub sys_secs: f64,
-    /// Current thread count.
-    pub threads: u64,
-    /// Wall-clock seconds since the process started (system uptime minus
-    /// the process start time from `stat`).
-    pub uptime_secs: f64,
-    /// Open file descriptors (`/proc/self/fd` entries); `None` when the
-    /// fd directory could not be listed.
-    pub open_fds: Option<u64>,
-}
-
-/// Reads `/proc/self/{statm,stat,fd}` and `/proc/uptime`. `None` when
+/// Resident set size in bytes, from `/proc/self/statm`. `None` when
 /// procfs is unavailable (non-Linux) or unparsable.
 #[cfg(target_os = "linux")]
-pub fn read() -> Option<ProcStats> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    let uptime = std::fs::read_to_string("/proc/uptime").ok()?;
-    let system_uptime_secs: f64 = uptime.split_whitespace().next()?.parse().ok()?;
-    let mut stats = parse(&statm, &stat, system_uptime_secs)?;
-    // One fd is the readdir handle itself; don't count it.
-    stats.open_fds =
-        std::fs::read_dir("/proc/self/fd").ok().map(|dir| dir.count().saturating_sub(1) as u64);
-    Some(stats)
+pub fn read_rss_bytes() -> Option<u64> {
+    parse_statm(&std::fs::read_to_string("/proc/self/statm").ok()?)
 }
 
-/// Non-Linux stub: procfs is unavailable, so resource gauges are skipped.
+/// Non-Linux stub: procfs is unavailable, so the gauge is skipped.
 #[cfg(not(target_os = "linux"))]
-pub fn read() -> Option<ProcStats> {
+pub fn read_rss_bytes() -> Option<u64> {
     None
 }
 
-/// Parses the two procfs payloads. `statm` field 2 is RSS in pages;
-/// `stat` fields 14/15/20/22 (1-origin) are utime/stime (USER_HZ ticks),
-/// the thread count, and the process start time (ticks after boot). The
-/// comm field can contain spaces and parentheses, so `stat` is split
-/// after its *last* `)`.
+/// Parses a `statm` payload, whose field 2 is RSS in pages.
 #[allow(dead_code)] // the non-Linux build keeps the parser for tests
-fn parse(statm: &str, stat: &str, system_uptime_secs: f64) -> Option<ProcStats> {
+fn parse_statm(statm: &str) -> Option<u64> {
     // Kernels report statm in pages; ENLD targets 4 KiB-page platforms
     // and std exposes no sysconf, so the page size is fixed here.
     const PAGE_BYTES: u64 = 4096;
-    // USER_HZ has been 100 on every Linux port for decades.
-    const TICKS_PER_SEC: f64 = 100.0;
     let resident_pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
-    let rest = &stat[stat.rfind(')')? + 1..];
-    // `rest` starts at field 3 ("state"); utime/stime/num_threads/
-    // starttime are fields 14/15/20/22 → indices 11/12/17/19 here.
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    let threads: u64 = fields.get(17)?.parse().ok()?;
-    let starttime_ticks: u64 = fields.get(19)?.parse().ok()?;
-    Some(ProcStats {
-        rss_bytes: resident_pages * PAGE_BYTES,
-        user_secs: utime as f64 / TICKS_PER_SEC,
-        sys_secs: stime as f64 / TICKS_PER_SEC,
-        threads,
-        uptime_secs: (system_uptime_secs - starttime_ticks as f64 / TICKS_PER_SEC).max(0.0),
-        open_fds: None,
-    })
+    Some(resident_pages * PAGE_BYTES)
 }
 
-/// Refreshes the `process.*` gauges in `registry` from procfs; no-op
-/// where [`read`] returns `None`.
+/// Refreshes the `process.rss_bytes` gauge in `registry` from procfs;
+/// no-op where [`read_rss_bytes`] returns `None`.
 pub fn sample(registry: &MetricsRegistry) {
-    let Some(stats) = read() else { return };
-    registry.gauge("process.rss_bytes").set(stats.rss_bytes as f64);
-    registry.gauge("process.cpu.user_secs").set(stats.user_secs);
-    registry.gauge("process.cpu.sys_secs").set(stats.sys_secs);
-    registry.gauge("process.threads").set(stats.threads as f64);
-    registry.gauge("process.uptime_secs").set(stats.uptime_secs);
-    if let Some(fds) = stats.open_fds {
-        registry.gauge("process.open_fds").set(fds as f64);
+    if let Some(rss) = read_rss_bytes() {
+        registry.gauge("process.rss_bytes").set(rss as f64);
     }
 }
 
@@ -103,59 +45,29 @@ mod tests {
 
     #[test]
     fn parses_canonical_proc_payloads() {
-        let statm = "12345 678 90 12 0 345 0\n";
-        // comm with spaces and a parenthesis, the documented worst case.
-        let stat = "4242 (enld (w) x) S 1 4242 4242 0 -1 4194304 500 0 0 0 \
-                    250 75 0 0 20 0 7 0 100 104857600 678 18446744073709551615 \
-                    1 1 0 0 0 0 0 0 0 0 0 0 17 3 0 0 0 0 0\n";
-        let s = parse(statm, stat, 3.5).expect("parses");
-        assert_eq!(s.rss_bytes, 678 * 4096);
-        assert_eq!(s.user_secs, 2.5);
-        assert_eq!(s.sys_secs, 0.75);
-        assert_eq!(s.threads, 7);
-        // starttime is 100 ticks = 1s after boot; system is 3.5s up.
-        assert!((s.uptime_secs - 2.5).abs() < 1e-9);
-        assert_eq!(s.open_fds, None, "fd count comes from read(), not parse()");
-    }
-
-    #[test]
-    fn uptime_never_goes_negative() {
-        let statm = "1 1 0 0 0 0 0\n";
-        let stat = "1 (c) S 1 1 1 0 -1 0 0 0 0 0 \
-                    0 0 0 0 20 0 1 0 500 0 1 0 \
-                    1 1 0 0 0 0 0 0 0 0 0 0 17 3 0 0 0 0 0\n";
-        // Clock skew fixture: starttime (5s) after system uptime (3s).
-        let s = parse(statm, stat, 3.0).expect("parses");
-        assert_eq!(s.uptime_secs, 0.0);
+        assert_eq!(parse_statm("12345 678 90 12 0 345 0\n"), Some(678 * 4096));
     }
 
     #[test]
     fn malformed_payloads_yield_none() {
-        assert!(parse("", "", 0.0).is_none());
-        assert!(parse("1 2", "no paren here", 0.0).is_none());
-        assert!(parse("not a number", "1 (c) S 1", 0.0).is_none());
+        assert!(parse_statm("").is_none());
+        assert!(parse_statm("1").is_none());
+        assert!(parse_statm("1 not-a-number").is_none());
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn live_read_reports_plausible_values() {
-        let s = read().expect("/proc/self readable on Linux");
-        assert!(s.rss_bytes > 0);
-        assert!(s.threads >= 1);
-        assert!(s.user_secs >= 0.0 && s.sys_secs >= 0.0);
-        assert!(s.uptime_secs >= 0.0);
-        // The three std handles plus whatever the harness holds open.
-        assert!(s.open_fds.expect("fd dir listable") >= 1);
+        let rss = read_rss_bytes().expect("/proc/self/statm readable on Linux");
+        assert!(rss > 0);
     }
 
     #[test]
     fn sample_sets_gauges() {
         let reg = MetricsRegistry::new();
         sample(&reg);
-        if read().is_some() {
+        if read_rss_bytes().is_some() {
             assert!(reg.gauge("process.rss_bytes").get() > 0.0);
-            assert!(reg.gauge("process.threads").get() >= 1.0);
-            assert!(reg.gauge("process.open_fds").get() >= 1.0);
         } else {
             assert!(reg.gauges().is_empty(), "no gauges registered off-Linux");
         }

@@ -17,11 +17,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::level::Level;
-use crate::metrics::{self, Histogram};
 use crate::sink::{self, SpanRecord};
 
 /// A typed key/value payload attached to spans and metrics.
@@ -193,7 +192,7 @@ pub fn current_context() -> Option<TraceContext> {
 
 /// Opens an [`Level::Info`] span builder.
 pub fn span(name: &'static str) -> SpanBuilder {
-    SpanBuilder { name, level: Level::Info, fields: Vec::new(), follows: None, histogram: None }
+    SpanBuilder { name, level: Level::Info, fields: Vec::new(), follows: None }
 }
 
 /// Opens a [`Level::Debug`] span builder.
@@ -214,7 +213,6 @@ pub struct SpanBuilder {
     level: Level,
     fields: Vec<(&'static str, FieldValue)>,
     follows: Option<TraceContext>,
-    histogram: Option<&'static str>,
 }
 
 impl SpanBuilder {
@@ -236,29 +234,12 @@ impl SpanBuilder {
         self
     }
 
-    /// Also records the span's lifetime, in seconds, into the global
-    /// histogram `histogram` when the guard drops — whether or not any
-    /// sink listens at the span's level, so the scrape output does not
-    /// depend on the log level.
-    ///
-    /// ```
-    /// {
-    ///     let _s = enld_telemetry::debug_span("stage.work").timed("stage.work_secs").entered();
-    /// }
-    /// assert!(enld_telemetry::metrics::global().histogram("stage.work_secs").count() >= 1);
-    /// ```
-    pub fn timed(mut self, histogram: &'static str) -> Self {
-        self.histogram = Some(histogram);
-        self
-    }
-
     /// Starts the span. The returned guard emits a [`SpanRecord`] to the
     /// installed sinks when dropped; hold it for the region's lifetime
     /// (`let _guard = …`, not `let _ = …`, which drops immediately).
     pub fn entered(self) -> SpanGuard {
-        let timed = self.histogram.map(|name| (Instant::now(), metrics::global().histogram(name)));
         if !sink::enabled(self.level) {
-            return SpanGuard { active: None, timed };
+            return SpanGuard { active: None };
         }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let (parent, trace, depth) = SPAN_STACK.with(|s| {
@@ -290,7 +271,6 @@ impl SpanBuilder {
                 start_micros: micros_now(),
                 started: Instant::now(),
             }),
-            timed,
         }
     }
 }
@@ -313,8 +293,6 @@ struct ActiveSpan {
 #[derive(Debug)]
 pub struct SpanGuard {
     active: Option<ActiveSpan>,
-    /// Start instant and target of [`SpanBuilder::timed`].
-    timed: Option<(Instant, Arc<Histogram>)>,
 }
 
 impl SpanGuard {
@@ -349,9 +327,6 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((started, histogram)) = self.timed.take() {
-            histogram.record(started.elapsed().as_secs_f64());
-        }
         let Some(a) = self.active.take() else { return };
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
@@ -402,23 +377,6 @@ mod tests {
             assert!(current_span().is_none());
             assert!(current_context().is_none());
         });
-    }
-
-    #[test]
-    fn timed_spans_feed_their_histogram_with_or_without_a_sink() {
-        let hist = metrics::global().histogram("span.test.timed_secs");
-        let before = hist.count();
-        with_capture(None, |_| {
-            let mut g = debug_span("span.test.timed").timed("span.test.timed_secs").entered();
-            assert!(!g.is_enabled());
-            g.record("k", 1u64);
-        });
-        let records = with_capture(Some(Level::Debug), |_| {
-            let _g = debug_span("span.test.timed").timed("span.test.timed_secs").entered();
-        });
-        assert_eq!(records.len(), 1);
-        assert_eq!(hist.count(), before + 2);
-        assert!(hist.summary().max < 60.0, "test span can't have run for a minute");
     }
 
     #[test]

@@ -10,7 +10,6 @@ use enld_core::{config::EnldConfig, detector::Enld, metrics::detection_metrics};
 use enld_datagen::presets::DatasetPreset;
 use enld_datagen::Dataset;
 use enld_lake::lake::{DataLake, LakeConfig};
-use enld_lake::request::DetectionResponse;
 use enld_nn::data::DataRef;
 
 fn main() {
@@ -28,16 +27,14 @@ fn main() {
     while let Some(request) = lake.next_request() {
         let report = enld.detect(&request.data);
 
-        // Package the platform-facing response and sanity-check it.
-        let response = DetectionResponse {
-            dataset_id: request.dataset_id,
-            clean: report.clean.clone(),
-            noisy: report.noisy.clone(),
-            pseudo_labels: report.pseudo_labels.clone(),
-            process_secs: report.process_secs,
-        };
+        // The verdict splits the labelled samples into clean and noisy.
+        let mut verdict = vec![0u8; request.data.len()];
+        for &i in report.clean.iter().chain(&report.noisy) {
+            verdict[i] += 1;
+        }
+        let missing = request.data.missing_mask();
         assert!(
-            response.is_valid_partition(request.data.len(), request.data.missing_mask()),
+            verdict.iter().enumerate().all(|(i, &n)| n == u8::from(!missing[i])),
             "service must return a valid clean/noisy partition"
         );
 

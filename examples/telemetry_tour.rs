@@ -7,9 +7,9 @@
 //! ```
 //!
 //! Expect an indented span tree on stderr (setup → warmup → every
-//! Stage-2 iteration), a `.jsonl` trace in the temp directory, and a
-//! JSON snapshot with counters and p50/p95/p99 histogram summaries on
-//! stdout.
+//! Stage-2 iteration) whose durations are the phase timings, a `.jsonl`
+//! trace in the temp directory, and a JSON snapshot of the drift gauges
+//! on stdout.
 
 use std::sync::Arc;
 

@@ -164,7 +164,8 @@ if ! printf '%s' "$REPLAY" | grep -q '"rules":1'; then
 fi
 
 # An out-of-range detector parameter is a named error, not a panic.
-printf '%s' '[{"name":"x","metric":"m","kind":"cusum","h":0}]' > "$SMOKE_DIR/bad-rules.json"
+printf '%s' '[{"name":"x","metric":"enld.drift.ambiguous_rate","kind":"cusum","h":0}]' \
+  > "$SMOKE_DIR/bad-rules.json"
 RC=0
 BAD=$(./target/release/enld monitor --ledger "$SMOKE_DIR/drift-ledger.jsonl" \
   --alert-rules "$SMOKE_DIR/bad-rules.json" 2>&1) || RC=$?

@@ -6,7 +6,6 @@ use enld_baselines::default_detector::DefaultDetector;
 use enld_core::{config::EnldConfig, detector::Enld, metrics::detection_metrics};
 use enld_datagen::presets::DatasetPreset;
 use enld_lake::lake::{DataLake, LakeConfig};
-use enld_lake::request::DetectionResponse;
 
 fn lake(noise: f32, seed: u64) -> DataLake {
     let preset = DatasetPreset::test_sim().scaled(0.5);
@@ -40,22 +39,6 @@ fn enld_beats_default_on_noisy_arrivals() {
         "ENLD ({enld_f1:.3}) must not lose to Default ({default_f1:.3}) on this easy preset"
     );
     assert!(enld_f1 > 0.6, "ENLD F1 {enld_f1:.3}");
-}
-
-#[test]
-fn detection_report_converts_to_valid_platform_response() {
-    let mut lake = lake(0.3, 102);
-    let mut enld = Enld::init(lake.inventory(), &EnldConfig::fast_test());
-    let req = lake.next_request().expect("queued");
-    let report = enld.detect(&req.data);
-    let response = DetectionResponse {
-        dataset_id: req.dataset_id,
-        clean: report.clean,
-        noisy: report.noisy,
-        pseudo_labels: report.pseudo_labels,
-        process_secs: report.process_secs,
-    };
-    assert!(response.is_valid_partition(req.data.len(), req.data.missing_mask()));
 }
 
 #[test]

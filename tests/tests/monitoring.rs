@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use enld_cli::monitor::replay_engine;
+use enld_cli::monitor::{replay_alert_state, replay_engine};
 use enld_core::checkpoint::Checkpoint;
 use enld_core::config::EnldConfig;
 use enld_core::detector::Enld;
@@ -199,6 +199,36 @@ fn a_drifting_bench_cell_fires_the_default_rules_and_a_stationary_cell_does_not(
         staleness(&drifting),
         staleness(&stationary)
     );
+}
+
+/// The zoo's `drift` noise model ramps the corruption along the stream
+/// instead of stepping it, and on the 4-arrival seed-7 `test-sim` lake
+/// that `enld generate` writes, the ramp leaves the default drift rule
+/// without one breach at either base rate; the `--drift` flag's step at
+/// the same base rate fires it. `scripts/monitor_smoke.sh` therefore
+/// keeps `--drift`: this pins the quiet case, so a change that makes the
+/// ramp fire shows here.
+#[test]
+fn the_zoo_drift_ramp_stays_quiet_where_the_drift_flag_fires() {
+    let _guard = monitor_lock();
+    let dir = tmp_dir("zoo-ramp");
+    let drift_state = |name: &str, noise: f32, noise_model: Option<&str>, drift: Option<f32>| {
+        let lake = dir.join(format!("{name}.json"));
+        let ledger = dir.join(format!("{name}.jsonl"));
+        let file = enld_cli::generate("test-sim", noise, noise_model, drift, 7, &lake)
+            .expect("generate the lake");
+        enld_cli::detect(&file, Default::default(), Some(&ledger)).expect("detect");
+        let state = replay_alert_state(&ledger, default_rules()).expect("replay the ledger");
+        let field = |f: &str| rule_field(&state, "drift-ambiguous-rate", f);
+        (field("state"), field("breaches_total"))
+    };
+    for noise in [0.2, 0.3] {
+        let quiet = drift_state(&format!("zoo-{noise}"), noise, Some("drift"), None);
+        assert_eq!(quiet, ("ok".to_owned(), "0".to_owned()), "zoo drift at noise {noise}");
+    }
+    let (state, breaches) = drift_state("flag", 0.2, None, Some(0.6));
+    assert_eq!(state, "firing", "--drift 0.6 must fire the drift rule ({breaches} breaches)");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Chaos parity: a run killed by the `monitor.alert_emit` failpoint and

@@ -1,13 +1,13 @@
 //! The name catalogue in DESIGN §7 lists exactly the names the program
 //! publishes, each with its kind: every metric registered with a literal
-//! name (`counter`, `gauge`, `histogram`, and the histogram a span feeds
-//! through `.timed(…)`), every span (`info span`, `debug span`,
-//! `trace span`), every series fed straight to the streaming monitor
-//! (`observe`), and the metric of every built-in alert rule (`rule`).
-//! The code side is read from the non-test part of `crates/*/src`; a name
-//! built with `format!` is catalogued with `<i>` for each placeholder. A
-//! name added or removed without its row, a kind changed, or a row left
-//! behind fails here.
+//! name (`counter`, `gauge`, `histogram`), every span (`info span`,
+//! `debug span`, `trace span`), every series fed straight to the
+//! streaming monitor (`observe`), and the metric of every built-in alert
+//! rule (`rule`). The code side is read from the non-test part of
+//! `crates/*/src`; a name built with `format!` is catalogued with `<i>`
+//! for each placeholder. A name added or removed without its row, a kind
+//! changed, or a row left behind fails here, and so does a name whose
+//! only reader is a `/metrics` scrape.
 
 use std::collections::BTreeSet;
 
@@ -21,7 +21,6 @@ const CALLS: &[(&str, &str)] = &[
     (".gauge(", "gauge"),
     (".histogram(", "histogram"),
     (".histogram_with(", "histogram"),
-    (".timed(", "histogram"),
     ("span(", "info span"),
     ("debug_span(", "debug span"),
     ("trace_span(", "trace span"),
@@ -115,10 +114,33 @@ fn every_built_in_rule_watches_a_published_name() {
 }
 
 #[test]
+fn every_name_has_a_reader_besides_a_scrape() {
+    let rows = design_table("Every name the program publishes");
+    let scrape_only: Vec<&str> = rows
+        .iter()
+        .filter(|row| row[4].split(',').all(|reader| reader.trim().starts_with("`/metrics`")))
+        .map(|row| row[0].as_str())
+        .collect();
+    assert!(scrape_only.is_empty(), "only `/metrics` reads {scrape_only:?}: remove them");
+}
+
+#[test]
+fn the_rule_reader_accepts_exactly_the_observed_series() {
+    let observed: BTreeSet<String> = names_in_code()
+        .into_iter()
+        .filter(|(_, kind)| kind == "observe")
+        .map(|(name, _)| name)
+        .collect();
+    let accepted: BTreeSet<String> =
+        enld_telemetry::alerts::OBSERVED_SERIES.iter().map(|s| s.to_string()).collect();
+    assert_eq!(accepted, observed, "rules_from_json must accept exactly the fed series");
+}
+
+#[test]
 fn calls_in_comments_tests_and_identifiers_do_not_count() {
     let src = r#"
 fn live(id: usize) {
-    let _s = telemetry::debug_span("a.phase").timed("a.phase_secs").entered();
+    let _s = telemetry::debug_span("a.phase").entered();
     registry.histogram(&format!("a.worker.{id}.secs")).record(1.0);
     monitor.observe("a.series", 1.0);
     let _t = current_span();
@@ -129,11 +151,7 @@ mod tests {
     fn f() { registry.gauge("a.test").set(1.0); let _ = span("a.test_span"); }
 }
 "#;
-    let want = [
-        ("a.phase", "debug span"),
-        ("a.phase_secs", "histogram"),
-        ("a.series", "observe"),
-        ("a.worker.<i>.secs", "histogram"),
-    ];
+    let want =
+        [("a.phase", "debug span"), ("a.series", "observe"), ("a.worker.<i>.secs", "histogram")];
     assert_eq!(names_in(src), want.map(|(n, k)| (n.to_owned(), k.to_owned())).into());
 }

@@ -4,7 +4,6 @@
 use enld_core::{config::EnldConfig, detector::Enld, metrics::detection_metrics};
 use enld_datagen::presets::DatasetPreset;
 use enld_datagen::Dataset;
-use enld_lake::catalog::DatasetKind;
 use enld_lake::lake::{DataLake, LakeConfig};
 use enld_nn::data::DataRef;
 
@@ -68,20 +67,6 @@ fn second_update_without_new_votes_is_noop() {
     let (mut enld, _, _) = serve_all(0.2, 203);
     assert!(enld.update_model() > 0);
     assert_eq!(enld.update_model(), 0, "no votes accumulated since the last update");
-}
-
-#[test]
-fn catalog_records_the_whole_run() {
-    let preset = DatasetPreset::test_sim().scaled(0.5);
-    let lake = DataLake::build(&LakeConfig { preset, noise_rate: 0.2, seed: 204 });
-    let entries = lake.catalog().entries();
-    assert_eq!(entries.len(), 1 + preset.incremental.subsets);
-    assert_eq!(entries[0].kind, DatasetKind::Inventory);
-    assert!(entries[1..].iter().all(|e| e.kind == DatasetKind::Incremental));
-    // Sample counts in the catalog match the actual datasets.
-    assert_eq!(entries[0].samples, lake.inventory().len());
-    let queued: usize = lake.peek_requests().map(|r| r.data.len()).sum();
-    assert_eq!(entries[1..].iter().map(|e| e.samples).sum::<usize>(), queued);
 }
 
 #[test]
